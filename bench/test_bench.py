@@ -24,6 +24,7 @@ sys.path.insert(0, str(BENCH))
 
 import compare  # noqa: E402
 import oracles  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from loopvertex import bounds, fusscatalan, partition  # noqa: E402
@@ -258,6 +259,11 @@ def test_run_exits_nonzero_without_program_sources(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "correct" not in proc.stdout
+
+
+def test_wall_time_sums_each_operations_slowest_time():
+    times = {"a": [5.0, 1.0, 3.0, 2.0, 4.0], "b": [0.5]}
+    assert run.base_speed_round(times) == 5.5
 
 
 def write_result(d: Path, workload: str, i: int, wall: float):

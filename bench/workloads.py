@@ -371,12 +371,12 @@ class McTrees:
     p = 2
     mc_lam = 0.05
     mc_cases = ((3, 2), (4, 2), (5, 2), (6, 2), (4, 1))  # (N, beta)
-    mc_direct_samples = 30_000
-    mc_lvr_samples = 15_000
+    mc_direct_samples = 7_500
+    mc_lvr_samples = 3_750
     tree_lam = 0.0125
     tree_n = 2
-    amp2_params = {"n_w": 250, "n_mc": 200}
-    amp3_params = {"n_w": 10, "n_mc": 20}
+    amp2_params = {"n_w": 125, "n_mc": 100}
+    amp3_params = {"n_w": 5, "n_mc": 10}
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -447,8 +447,8 @@ class McTrees:
         amp2 = results.get("tree_amplitude n=2")
         if lve is not None and f is not None and all(a is not None for a in amp3):
             # the n = 3 term, (1/3!) times the sum over the three labeled
-            # paths, is about -4e-7 here: 1.5 standard errors of lve at 5e4
-            # samples and 3 at criterion 10's 2e5, so the check adds it
+            # paths, is about -4e-7 here: 0.75 standard errors of lve at
+            # 1.25e4 samples and 3 at criterion 10's 2e5, so the check adds it
             third = sum(a.value for a in amp3) / 6.0
             third_se = float(np.sqrt(sum(a.stderr**2 for a in amp3))) / 6.0
             if not mc_agree(f, 0.0, lve[0] + third, float(np.hypot(lve[1], third_se))):
