@@ -66,7 +66,6 @@ class RunConfig:
     mc_samples: int = 20000
     quad_nodes: int = 64
     seed: int = 0
-    workers: int = 1
     output_path: str = ""
     n_list: tuple[int, ...] = field(default_factory=tuple)
     z_re: float = 0.0
@@ -87,7 +86,7 @@ class RunConfig:
             raise ConfigError("epsilon must lie in (0, pi)")
         if self.lambda_modulus > 0 and abs(self.lambda_arg) > np.pi - self.epsilon:
             raise ConfigError("arg lambda outside the pacman sector")
-        if self.mc_samples < 1 or self.quad_nodes < 1 or self.workers < 1:
+        if self.mc_samples < 1 or self.quad_nodes < 1:
             raise ConfigError("counts must be positive")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
@@ -198,11 +197,7 @@ def _cmd_z_identity(config: RunConfig):
     method = "quadrature"
     if spec.N > 3:
         method = "monte_carlo"
-        kwargs = {
-            "n_samples": config.mc_samples,
-            "seed": config.seed,
-            "workers": config.workers,
-        }
+        kwargs = {"n_samples": config.mc_samples, "seed": config.seed}
     direct = z_direct(c, spec, method, **kwargs)
     lvr = z_lvr(c, spec, method, **kwargs)
     gap = abs(lvr.value - direct.value) / abs(direct.value)
@@ -230,8 +225,7 @@ def _free_energy_estimate(c, spec, method, config):
         spec,
         method,
         **(
-            {"n_samples": config.mc_samples, "seed": config.seed,
-             "workers": config.workers}
+            {"n_samples": config.mc_samples, "seed": config.seed}
             if method == "monte_carlo"
             else {}
         ),
@@ -265,7 +259,6 @@ def _cmd_lve_sum(config: RunConfig):
         "n_w": max(1, config.mc_samples // 100),
         "n_mc": 100,
         "seed": config.seed,
-        "workers": config.workers,
     }
     value, err = lve_truncated_F(c, spec, config.n_max, params)
     ok = np.isfinite(err)
@@ -425,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--mc-samples", type=int, default=20000)
         s.add_argument("--quad-nodes", type=int, default=64)
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--workers", type=int, default=1)
         s.add_argument("--output", type=str, default="")
         s.add_argument("--z-re", type=float, default=0.0)
         s.add_argument("--z-im", type=float, default=0.0)
@@ -446,7 +438,6 @@ def config_from_args(argv: list[str]) -> RunConfig:
         mc_samples=args.mc_samples,
         quad_nodes=args.quad_nodes,
         seed=args.seed,
-        workers=args.workers,
         output_path=args.output,
         n_list=_parse_n_list(args.N_list) if args.N_list else (),
         z_re=args.z_re,

@@ -9,6 +9,7 @@ the series near the origin and continued stepwise along the ray 0 -> z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,10 +110,17 @@ _COEFF_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _series_coeffs_float(params: FussCatalanParams, n_max: int) -> np.ndarray:
+    """Series seed c_k = C(pk, k)/((p-1)k + 1), the Fuss-Catalan numbers.
+
+    The closed form replaces the exact fixed-point iteration of
+    :func:`fc_series_coeffs`, which stays as its independent oracle.
+    """
     key = (params.p, n_max)
     if key not in _COEFF_CACHE:
+        p = params.p
         _COEFF_CACHE[key] = np.array(
-            [float(c) for c in fc_series_coeffs(params, n_max)], dtype=float
+            [math.comb(p * k, k) // ((p - 1) * k + 1) for k in range(n_max + 1)],
+            dtype=float,
         )
     return _COEFF_CACHE[key]
 

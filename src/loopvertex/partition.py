@@ -6,13 +6,16 @@ Z(lambda, N) is computed two independent ways and must agree:
   * through the change of variables, as E[exp(S(lam, K))].
 
 Both reduce to eigenvalue integrals with the Vandermonde repulsion
-factor.  Small N uses deterministic quadrature: a tensor cube with
-shared 1-D tables when the Vandermonde power is smooth (beta = 2, or
-N = 1), and an ordered-sector gap parametrization when beta = 1 makes
-|Delta| kinked.  Couplings with Re(lam) < 0 rotate the eigenvalue line
-so the integrals converge.  Larger N at real lam >= 0 uses Monte
-Carlo.  Exact Gaussian moments by Wick pairing enumeration provide the
-perturbative anchor.
+factor.  Small N uses one deterministic quadrature engine that turns
+the N-fold integral into 1-D integrals along the line exp(i zeta) t:
+for beta = 2 the Andreief identity gives the determinant of a Gram
+matrix, for beta = 1 de Bruijn's identity gives a Pfaffian of ordered
+pair integrals.  The line is the real axis (zeta = 0) unless the
+coupling needs it rotated: Re(lam) < 0 for the direct weight, a cut ray
+of the scalar maps near the real axis for the change of variables.
+Composite Gauss-Legendre panels double until the ratio settles.  Larger
+N at real lam >= 0 uses Monte Carlo.  Exact Gaussian moments by Wick
+pairing enumeration provide the perturbative anchor.
 """
 
 from __future__ import annotations
@@ -33,22 +36,12 @@ from .scalarmaps import Coupling
 
 QUAD_MAX_N = 3
 QUAD_REL_TOL = 1e-6
-#: Gauss-Hermite cube (real lambda): start nodes and per-dimension caps
-GH_START_NODES = 64
-GH_NODE_CAP = {1: 512, 2: 256, 3: 128}
-#: ordered-sector scheme (beta = 1, N >= 2)
-ORDERED_START_NODES = 48
-ORDERED_NODE_CAP = {2: 384, 3: 192}
 #: integration half-width in units of the Gaussian scale 1/sqrt(N env)
 HALF_WIDTH_SIGMAS = 8.5
 #: rotate the eigenvalue line once |arg lambda| exceeds pi/2 minus this
 TILT_MARGIN = 0.15
 #: largest allowed |2 zeta| below pi/2, keeping Gaussian decay on the line
 MAX_DOUBLE_ANGLE = np.pi / 2 - 0.3
-#: log-density floor standing in for -inf at coincident grid nodes
-LOG_FLOOR = -1e300
-#: dense 1-D grid size for interpolated map tables on a rotated line
-INTERP_GRID = 1 << 17
 
 MC_MAX_REL_SE = 0.10
 MC_DEFAULT_SAMPLES = 20000
@@ -104,92 +97,30 @@ def _map_rotation(c: Coupling) -> float:
     return float(np.clip(psi, -limit, limit))
 
 
-def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-N mu^2) d mu."""
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    s = np.sqrt(float(big_n))
-    return x / s, w / s
+def _doubling(
+    eval_at, start: int, cap: int, stage: str, c: Coupling, spec: EnsembleSpec
+) -> tuple[complex, float, int]:
+    """Double the node count until the value stabilizes.
 
-
-def _doubling(eval_at, start: int, cap: int, label: str) -> tuple[complex, float, int]:
-    """Double the per-dimension node count until the value stabilizes."""
+    A stall raises QuadratureUnderResolvedError naming the stage, the
+    coupling, N, beta and the last gap measured between two levels.
+    """
     m = start
     prev = eval_at(m)
+    last = "none (cap reached before the first doubling)"
     while m < cap:
         m *= 2
         cur = eval_at(m)
         gap = abs(cur - prev)
         if gap <= QUAD_REL_TOL * abs(cur):
             return cur, gap, m
+        last = f"{gap:.3e} against |value| {abs(cur):.3e}"
         prev = cur
     raise QuadratureUnderResolvedError(
-        f"{label}: node doubling stalled at {m} nodes/dimension"
+        f"{stage}: doubling stalled at resolution {m} (cap {cap}) for "
+        f"lam={complex(c.lam):.6g}, p={c.p}, N={spec.N}, beta={spec.beta}; "
+        f"last gap {last}, relative tolerance {QUAD_REL_TOL:g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# cube scheme (shared 1-D tables; valid when the Vandermonde power is smooth)
-
-
-def _grid_ratio(
-    mu: np.ndarray,
-    w: np.ndarray,
-    big_n: int,
-    beta: int,
-    e1: np.ndarray,
-    e2: np.ndarray | None,
-) -> complex:
-    """Ratio of two tensor-cube integrals against the eigenvalue density.
-
-    Numerator integrand is exp(sum_k e1[i_k] + sum_{k<l} e2[i_k, i_l]),
-    denominator is 1, both against w-weights times the Vandermonde
-    factor prod |mu_a - mu_b|^beta.  Assembled by pure broadcasting.
-    """
-    m = len(mu)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    lv = beta * np.log(np.abs(mu[:, None] - mu[None, :]) + np.eye(m))
-    np.fill_diagonal(lv, LOG_FLOOR)  # coincident nodes carry zero density
-
-    def axis_shape(axes):
-        return tuple(m if a in axes else 1 for a in range(big_n))
-
-    base = np.zeros((m,) * big_n)
-    for k in range(big_n):
-        base = base + np.clip(logw, LOG_FLOOR, None).reshape(axis_shape({k}))
-    for k in range(big_n):
-        for l in range(k + 1, big_n):
-            base = base + lv.reshape(axis_shape({k, l}))
-    base = np.clip(base, LOG_FLOOR, None)
-
-    extra = np.zeros((m,) * big_n, dtype=complex)
-    for k in range(big_n):
-        extra = extra + e1.reshape(axis_shape({k}))
-    if e2 is not None:
-        for k in range(big_n):
-            for l in range(k + 1, big_n):
-                extra = extra + e2.reshape(axis_shape({k, l}))
-
-    with np.errstate(under="ignore"):
-        density = np.exp(base)
-        num = np.sum(density * np.exp(extra))
-        den = np.sum(density)
-    return complex(num / den)
-
-
-def _gh_cube_estimate(spec: EnsembleSpec, tables) -> PartitionEstimate:
-    """Real-lambda cube against the exact Gauss-Hermite weight.
-
-    tables(mu) returns (e1, e2 or None) on the shared 1-D node set.
-    """
-    def eval_at(m):
-        mu, w = _hermite_rule(m, spec.N)
-        return _grid_ratio(mu, w, spec.N, spec.beta, *tables(mu))
-
-    value, gap, m = _doubling(
-        eval_at, GH_START_NODES, GH_NODE_CAP[spec.N], "hermite cube"
-    )
-    return PartitionEstimate(value, "quadrature", gap, m**spec.N)
 
 
 def _panel_antiderivatives(g: int, fvals: np.ndarray, half_width: float):
@@ -277,13 +208,13 @@ def _hankel_value(pair_fn, big_n: int, half: float, n_panels: int, g: int = 16) 
     return complex(np.linalg.det(gram))
 
 
-#: composite-panel schedule for the rotated-line moment schemes
+#: composite-panel schedule of the determinantal engine
 PANELS_START = 16
 PANELS_CAP = 512
 
 
-def _rotated_estimate(
-    spec: EnsembleSpec, zeta: float, family_num, family_den
+def _line_estimate(
+    c: Coupling, spec: EnsembleSpec, zeta: float, family_num, family_den, stage: str
 ) -> PartitionEstimate:
     """Z ratio on the line exp(i zeta) t via determinant/Pfaffian identities.
 
@@ -305,119 +236,9 @@ def _rotated_estimate(
         return num_fn(n_panels) / den_fn(n_panels)
 
     value, gap, n_panels = _doubling(
-        eval_at, PANELS_START, PANELS_CAP, "rotated moment scheme"
+        eval_at, PANELS_START, PANELS_CAP, stage, c, spec
     )
     return PartitionEstimate(value, "quadrature", gap, 16 * n_panels)
-
-
-# ---------------------------------------------------------------------------
-# ordered-sector scheme (beta = 1, N >= 2: |Delta| is smooth only ordered)
-
-
-def _ordered_ratio(
-    big_n: int, beta: int, zeta: float, m: int, make_terms
-) -> complex:
-    """Integral ratio over the ordered sector mu_1 < ... < mu_N.
-
-    Coordinates are the lowest eigenvalue and the positive gaps along
-    the (possibly rotated) line exp(i zeta) s; the Vandermonde becomes a
-    smooth product of gap sums and its rotation phase cancels between
-    numerator and denominator.  make_terms(coords) returns the
-    (num, den) log-integrand extras on the coordinate tensors.
-    """
-    env = float(np.cos(2 * zeta))
-    half = HALF_WIDTH_SIGMAS / np.sqrt(big_n * env)
-    x, w = np.polynomial.legendre.leggauss(m)
-
-    def rule(a, b):
-        return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
-
-    axes = [rule(-half, half)] + [rule(0.0, 2 * half)] * (big_n - 1)
-
-    def axis_view(arr, k):
-        return arr.reshape(tuple(m if a == k else 1 for a in range(big_n)))
-
-    s_coords = [axis_view(axes[0][0], 0)]
-    for k in range(1, big_n):
-        s_coords = s_coords + [s_coords[k - 1] + axis_view(axes[k][0], k)]
-
-    logw = np.zeros((1,) * big_n)
-    for k in range(big_n):
-        logw = logw + axis_view(np.log(axes[k][1]), k)
-    logdelta = np.zeros((1,) * big_n)
-    for k in range(big_n):
-        for l in range(k + 1, big_n):
-            logdelta = logdelta + np.log(s_coords[l] - s_coords[k])
-
-    rot = np.exp(1j * zeta) if zeta != 0.0 else 1.0
-    coords = [rot * s for s in s_coords]
-    num_extra, den_extra = make_terms(coords)
-    base = logw + beta * logdelta
-    with np.errstate(under="ignore"):
-        num = np.sum(np.exp(base + num_extra))
-        den = np.sum(np.exp(base + den_extra))
-    return complex(num / den)
-
-
-def _ordered_estimate(
-    spec: EnsembleSpec, zeta: float, make_terms
-) -> PartitionEstimate:
-    def eval_at(m):
-        return _ordered_ratio(spec.N, spec.beta, zeta, m, make_terms)
-
-    value, gap, m = _doubling(
-        eval_at, ORDERED_START_NODES, ORDERED_NODE_CAP[spec.N], "ordered sector"
-    )
-    return PartitionEstimate(value, "quadrature", gap, m**spec.N)
-
-
-# ---------------------------------------------------------------------------
-# map tables
-
-
-def _action_log_tables(c: Coupling, beta: int, mu: np.ndarray):
-    """(e1, e2) cube tables of the effective action on real nodes.
-
-    S for a spectrum drawn from the grid decomposes as sum_k log h'(mu_k)
-    plus beta * sum_{k<l} log[(h(mu_k) - h(mu_l))/(mu_k - mu_l)], which
-    is exactly the (e1, e2) split consumed by the cube evaluator.
-    """
-    md = map_derivatives(c, mu.astype(complex))
-    e1 = np.log(md["hp"])
-    dk = mu[:, None] - mu[None, :]
-    dh = md["h"][:, None] - md["h"][None, :]
-    ratio = dh / np.where(np.eye(len(mu), dtype=bool), 1.0, dk)
-    np.fill_diagonal(ratio, 1.0)  # diagonal never multiplies nonzero density
-    return e1, beta * np.log(ratio)
-
-
-class _LineMapTables:
-    """h and log h' along the line exp(i zeta) s, linearly interpolated.
-
-    One dense evaluation of the maps serves every tensor point of the
-    ordered scheme, since all coordinates lie on a single line.
-    """
-
-    def __init__(self, c: Coupling, zeta: float, s_lo: float, s_hi: float):
-        self.rot = np.exp(1j * zeta)
-        pad = 0.01 * (s_hi - s_lo)
-        self.s_grid = np.linspace(s_lo - pad, s_hi + pad, INTERP_GRID)
-        md = map_derivatives(c, self.rot * self.s_grid)
-        self.h_grid = md["h"]
-        self.loghp_grid = np.log(md["hp"])
-
-    def _interp(self, table, s):
-        flat = np.ravel(s)
-        out = np.interp(flat, self.s_grid, table.real) + 1j * np.interp(
-            flat, self.s_grid, table.imag
-        )
-        return out.reshape(np.shape(s))
-
-    def h(self, s):
-        return self._interp(self.h_grid, s)
-
-    def loghp(self, s):
-        return self._interp(self.loghp_grid, s)
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +251,14 @@ def _mc_estimate(
     log_integrand,
     n_samples: int,
     seed: int,
-    workers: int,
 ) -> PartitionEstimate:
     """MC driver; log_integrand(spectra batch) -> per-sample log values."""
     lam = complex(c.lam)
     if lam.imag != 0 or lam.real < 0:
         raise OutOfRangeError("Monte Carlo requires real lambda >= 0")
-    streams = spawn_streams(seed, workers)
-    share = int(np.ceil(n_samples / workers))
-    vals = []
-    for rng in streams:
-        h = sample_gaussian_batch(spec, rng, share)
-        eigs = np.linalg.eigvalsh(h)
-        vals.append(np.exp(log_integrand(eigs)))
-    vals = np.concatenate(vals)
+    rng = spawn_streams(seed, 1)[0]
+    eigs = np.linalg.eigvalsh(sample_gaussian_batch(spec, rng, n_samples))
+    vals = np.exp(log_integrand(eigs))
     mean = complex(np.mean(vals))
     se = float(np.std(vals.real) / np.sqrt(len(vals)))
     if se > MC_MAX_REL_SE * abs(mean):
@@ -463,7 +278,6 @@ def z_direct(
     method: str = "quadrature",
     n_samples: int = MC_DEFAULT_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
 ) -> PartitionEstimate:
     """Z(lambda, N)/Z(0, N) from the interaction weight exp(-N lam Tr H^2p)."""
     lam = complex(c.lam)
@@ -475,32 +289,14 @@ def z_direct(
         def log_integrand(eigs):
             return -big_n * lam.real * np.sum(eigs ** (2 * p), axis=-1)
 
-        return _mc_estimate(c, spec, log_integrand, n_samples, seed, workers)
+        return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     if big_n > QUAD_MAX_N:
         raise OutOfRangeError(f"quadrature supports N <= {QUAD_MAX_N}")
 
-    phi = _tilt_angle(lam, p)
-
-    if phi == 0.0:
-        if spec.beta == 1 and big_n >= 2:
-            def make_terms(coords):
-                num = np.zeros((1,) * big_n, dtype=complex)
-                den = np.zeros((1,) * big_n, dtype=complex)
-                for x in coords:
-                    den = den - big_n * x**2
-                    num = num - big_n * (x**2 + lam * x ** (2 * p))
-                return num, den
-
-            return _ordered_estimate(spec, phi, make_terms)
-
-        def tables(mu):
-            return (-big_n * lam * mu ** (2 * p)).astype(complex), None
-
-        return _gh_cube_estimate(spec, tables)
-
-    rot = np.exp(1j * phi)
+    zeta = _tilt_angle(lam, p)
+    rot = np.exp(1j * zeta)
     powers = np.arange(big_n)
 
     def monomials(mu):
@@ -524,7 +320,9 @@ def z_direct(
             mu = rot * t
             return monomials(mu), np.exp(-big_n * mu**2)
 
-    return _rotated_estimate(spec, phi, family_num, family_den)
+    return _line_estimate(
+        c, spec, zeta, family_num, family_den, "z_direct quadrature"
+    )
 
 
 def z_lvr(
@@ -533,7 +331,6 @@ def z_lvr(
     method: str = "quadrature",
     n_samples: int = MC_DEFAULT_SAMPLES,
     seed: int = 0,
-    workers: int = 1,
 ) -> PartitionEstimate:
     """Z(lambda, N)/Z(0, N) as the Gaussian average of exp(S(lambda, K))."""
     lam = complex(c.lam)
@@ -555,39 +352,14 @@ def z_lvr(
             s = np.sum(np.log(hp), axis=-1) + spec.beta * pair
             return s.real  # real lambda: S is real on real spectra
 
-        return _mc_estimate(c, spec, log_integrand, n_samples, seed, workers)
+        return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     if big_n > QUAD_MAX_N:
         raise OutOfRangeError(f"quadrature supports N <= {QUAD_MAX_N}")
 
-    psi = _map_rotation(c)
-
-    if psi == 0.0:
-        if spec.beta == 1 and big_n >= 2:
-            half = HALF_WIDTH_SIGMAS / np.sqrt(big_n)
-            maps = _LineMapTables(c, 0.0, -half, half * (2 * big_n - 1))
-
-            def make_terms(coords):
-                num = np.zeros((1,) * big_n, dtype=complex)
-                den = np.zeros((1,) * big_n, dtype=complex)
-                h_list = [maps.h(x.real) for x in coords]
-                for x in coords:
-                    den = den - big_n * x**2
-                    num = num - big_n * x**2 + maps.loghp(x.real)
-                for k in range(big_n):
-                    for l in range(k + 1, big_n):
-                        num = num + np.log(
-                            (h_list[k] - h_list[l]) / (coords[k] - coords[l])
-                        )
-                return num, den
-
-            return _ordered_estimate(spec, 0.0, make_terms)
-        return _gh_cube_estimate(
-            spec, lambda mu: _action_log_tables(c, spec.beta, mu)
-        )
-
-    rot = np.exp(1j * psi)
+    zeta = _map_rotation(c)
+    rot = np.exp(1j * zeta)
     powers = np.arange(big_n)
 
     def monomials(v):
@@ -613,7 +385,7 @@ def z_lvr(
             mu = rot * t
             return monomials(mu), np.exp(-big_n * mu**2)
 
-    return _rotated_estimate(spec, psi, family_num, family_den)
+    return _line_estimate(c, spec, zeta, family_num, family_den, "z_lvr quadrature")
 
 
 def free_energy(

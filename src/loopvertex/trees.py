@@ -31,14 +31,7 @@ from .matrixcore import (
     sample_replicas,
     spawn_streams,
 )
-from .partition import (
-    GH_NODE_CAP,
-    GH_START_NODES,
-    _action_log_tables,
-    _doubling,
-    _hermite_rule,
-    LOG_FLOOR,
-)
+from .partition import _doubling
 from .scalarmaps import Coupling
 
 MAX_TREE_ORDER = 7
@@ -48,6 +41,11 @@ MAX_VERTEX_DEGREE = 2
 DEFAULT_FD_STEP = 1e-4
 #: Richardson halving agreement demanded of the finite-difference Hessian
 FD_CHECK_RTOL = 1e-3
+#: Gauss-Hermite mean-action grid: start nodes and per-dimension caps
+GH_START_NODES = 64
+GH_NODE_CAP = {1: 512, 2: 256, 3: 128}
+#: log-density floor standing in for -inf at coincident grid nodes
+LOG_FLOOR = -1e300
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,29 @@ def _check_budget(spec: EnsembleSpec, t: LabeledTree):
         raise BudgetExceededError("tree amplitudes are implemented for beta = 2")
 
 
+def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integrals against exp(-N mu^2) d mu."""
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    s = np.sqrt(float(big_n))
+    return x / s, w / s
+
+
+def _action_log_tables(c: Coupling, beta: int, mu: np.ndarray):
+    """(e1, e2) grid tables of the effective action on real nodes.
+
+    S for a spectrum drawn from the grid decomposes as sum_k log h'(mu_k)
+    plus beta * sum_{k<l} log[(h(mu_k) - h(mu_l))/(mu_k - mu_l)], which
+    is exactly the (e1, e2) split summed over the tensor grid.
+    """
+    md = map_derivatives(c, mu.astype(complex))
+    e1 = np.log(md["hp"])
+    dk = mu[:, None] - mu[None, :]
+    dh = md["h"][:, None] - md["h"][None, :]
+    ratio = dh / np.where(np.eye(len(mu), dtype=bool), 1.0, dk)
+    np.fill_diagonal(ratio, 1.0)  # diagonal never multiplies nonzero density
+    return e1, beta * np.log(ratio)
+
+
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
     """(E[S], E[S1]) over the Gaussian ensemble by tensor-grid quadrature."""
     big_n = spec.N
@@ -308,7 +329,7 @@ def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
         return eval_at(m)[0]
 
     value, gap, m = _doubling(
-        scalar_eval, GH_START_NODES, GH_NODE_CAP[big_n], "mean-action grid"
+        scalar_eval, GH_START_NODES, GH_NODE_CAP[big_n], "mean-action grid", c, spec
     )
     s1 = eval_at(m)[1]
     return value, s1, gap, m**big_n
@@ -391,49 +412,45 @@ def tree_amplitude(
     n_mc = int(params.get("n_mc", 64))
     fd_step = float(params.get("fd_step", DEFAULT_FD_STEP))
     seed = int(params.get("seed", 0))
-    workers = int(params.get("workers", 1))
 
     if t.n == 1:
         return single_vertex_amplitude(c, spec, n_w * n_mc, seed=seed)
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, n_w, n_mc, t)
     if t.n == 2:
-        return _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed, workers)
+        return _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed)
     return _three_vertex_amplitude(c, spec, t, n_w, n_mc, fd_step, seed)
 
 
 _BATCH_CHUNK = 65536
 
 
-def _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed, workers):
+def _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed):
     """Vectorized n = 2 amplitude: prefactor * E_w E_K[Tr(G(K1) G(K2))].
 
     Every sample draws its own uniform w, so the (w, replica) samples are
     jointly i.i.d. and the pooled standard error is unbiased.
     """
     pref = 1.0 / (spec.N**2 * 2 * spec.N)
-    streams = spawn_streams(seed, workers)
-    total = n_w * n_mc
-    share = int(np.ceil(total / workers))
+    rng = spawn_streams(seed, 1)[0]
+    left = n_w * n_mc
     count = 0
     acc = 0.0 + 0.0j
     acc2 = 0.0
-    for rng in streams:
-        left = share
-        while left > 0:
-            m = min(left, _BATCH_CHUNK)
-            left -= m
-            w = rng.uniform(size=m)[:, None, None]
-            g = sample_gaussian_batch(spec, rng, 2 * m)
-            g1, g2 = g[:m], g[m:]
-            k1 = g1
-            k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
-            grad1 = _gradient_batch(c, k1)
-            grad2 = _gradient_batch(c, k2)
-            vals = np.einsum("bij,bji->b", grad1, grad2)
-            acc += vals.sum()
-            acc2 += float(np.sum(np.abs(vals) ** 2))
-            count += m
+    while left > 0:
+        m = min(left, _BATCH_CHUNK)
+        left -= m
+        w = rng.uniform(size=m)[:, None, None]
+        g = sample_gaussian_batch(spec, rng, 2 * m)
+        g1, g2 = g[:m], g[m:]
+        k1 = g1
+        k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
+        grad1 = _gradient_batch(c, k1)
+        grad2 = _gradient_batch(c, k2)
+        vals = np.einsum("bij,bji->b", grad1, grad2)
+        acc += vals.sum()
+        acc2 += float(np.sum(np.abs(vals) ** 2))
+        count += m
     mean = acc / count
     var = max(acc2 / count - abs(mean) ** 2, 0.0)
     stderr = float(np.sqrt(var / count))

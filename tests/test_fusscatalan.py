@@ -11,6 +11,7 @@ from loopvertex.fusscatalan import (
     fc_log_deriv,
     fc_log_deriv_many,
     fc_series_coeffs,
+    _series_coeffs_float,
 )
 
 
@@ -35,6 +36,14 @@ def test_series_coefficients_are_fuss_catalan_numbers():
         for n, c in enumerate(coeffs):
             expected = comb(n * p, n) // ((p - 1) * n + 1)
             assert c == expected, (p, n)
+
+
+def test_series_seed_equals_exact_series():
+    # closed-form float seed of fc_eval_many against the exact iteration
+    for p in range(2, 7):
+        params = FussCatalanParams(p)
+        exact = [float(c) for c in fc_series_coeffs(params, 40)]
+        assert _series_coeffs_float(params, 40).tolist() == exact, p
 
 
 def test_functional_equation_residual():

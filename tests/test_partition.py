@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopvertex.errors import OutOfRangeError, VarianceBlowupError
+from loopvertex import partition
+from loopvertex.errors import (
+    OutOfRangeError,
+    QuadratureUnderResolvedError,
+    VarianceBlowupError,
+)
 from loopvertex.matrixcore import EnsembleSpec, covariances
 from loopvertex.partition import (
     free_energy,
@@ -92,6 +99,76 @@ def test_change_of_variables_identity_complex_coupling():
     a = z_direct(c, spec)
     b = z_lvr(c, spec)
     assert abs(a.value - b.value) / abs(a.value) <= 1e-4
+
+
+def test_real_line_identity_to_roundoff():
+    # real-coupling rows of the criterion-06 grid, all on the zeta = 0 line
+    for p in (2, 3):
+        for beta in (1, 2):
+            for n in (1, 2, 3):
+                for mod in (0.02, 0.1):
+                    c = Coupling(lam=mod, p=p)
+                    spec = EnsembleSpec(N=n, beta=beta)
+                    a = z_direct(c, spec).value
+                    b = z_lvr(c, spec).value
+                    assert abs(a - b) / abs(a) <= 1e-10, (p, beta, n, mod)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    beta=st.sampled_from([1, 2]),
+    n=st.sampled_from([1, 2, 3]),
+    mod=st.floats(1e-3, 0.2),
+    arg=st.one_of(st.just(0.0), st.floats(-(np.pi - 0.3), np.pi - 0.3)),
+)
+def test_change_of_variables_identity_property(p, beta, n, mod, arg):
+    c = Coupling(lam=mod * np.exp(1j * arg), p=p)
+    spec = EnsembleSpec(N=n, beta=beta)
+    a = z_direct(c, spec).value
+    b = z_lvr(c, spec).value
+    assert abs(a - b) / abs(a) <= 1e-9
+
+
+def test_z_direct_against_hermite_tensor_sum():
+    # beta = 2, N = 2: Z(lam)/Z(0) as a 2-D Gauss-Hermite sum against
+    # exp(-2 (mu1^2 + mu2^2)) with the Vandermonde weight (mu1 - mu2)^2
+    x, w = np.polynomial.hermite.hermgauss(200)
+    mu1, mu2 = x[:, None] / np.sqrt(2.0), x[None, :] / np.sqrt(2.0)
+    dens = w[:, None] * w[None, :] * (mu1 - mu2) ** 2
+    for p in (2, 3):
+        lam = 0.1
+        boltz = np.exp(-2.0 * lam * (mu1 ** (2 * p) + mu2 ** (2 * p)))
+        ref = np.sum(dens * boltz) / np.sum(dens)
+        est = z_direct(Coupling(lam=lam, p=p), EnsembleSpec(N=2, beta=2))
+        assert est.value == pytest.approx(ref, rel=1e-10), p
+
+
+def test_stall_error_names_stage_input_and_gap(monkeypatch):
+    c = Coupling(lam=0.1, p=3)
+    spec = EnsembleSpec(N=2, beta=1)
+    monkeypatch.setattr(partition, "PANELS_CAP", partition.PANELS_START)
+    with pytest.raises(QuadratureUnderResolvedError) as exc:
+        z_direct(c, spec)
+    msg = str(exc.value)
+    for field in ("z_direct quadrature", "lam=0.1+0j", "p=3", "N=2", "beta=1",
+                  "last gap none"):
+        assert field in msg, (field, msg)
+    # one doubling that does not settle reports the gap it measured
+    with pytest.raises(QuadratureUnderResolvedError, match=r"last gap 1\.000e\+00"):
+        partition._doubling(float, 1, 2, "probe", c, spec)
+
+
+def test_mc_values_pinned_at_fixed_seeds():
+    # one sampling stream per call; these are the values it gives
+    a = z_direct(Coupling(lam=0.1, p=2), EnsembleSpec(N=3, beta=2),
+                 method="monte_carlo", n_samples=20000, seed=11)
+    assert a.value == pytest.approx(0.6738932327531165, rel=1e-12)
+    assert a.error == pytest.approx(0.0015515693460670908, rel=1e-9)
+    b = z_lvr(Coupling(lam=0.1, p=2), EnsembleSpec(N=3, beta=1),
+              method="monte_carlo", n_samples=5000, seed=12)
+    assert b.value == pytest.approx(0.8167604119847671, rel=1e-12)
+    assert b.error == pytest.approx(0.0012012372452311056, rel=1e-9)
 
 
 def test_mc_agrees_with_quadrature():

@@ -146,6 +146,15 @@ def test_two_vertex_seed_reproducibility():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+def test_two_vertex_value_pinned_at_fixed_seed():
+    # one sampling stream per call; this is the value it gives
+    t = LabeledTree(2, ((1, 2),))
+    est = tree_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), t,
+                         {"n_w": 50, "n_mc": 40, "seed": 13})
+    assert est.value.real == pytest.approx(0.00105000186542636, rel=1e-12)
+    assert est.stderr == pytest.approx(3.112328130705778e-05, rel=1e-9)
+
+
 def test_truncated_sum_matches_free_energy_difference():
     # order-2 truncation closes the free energy up to the third-order term
     from loopvertex.partition import free_energy
