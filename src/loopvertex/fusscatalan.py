@@ -3,8 +3,20 @@
 T_p is the unique power-series solution of ``z*T^p - T + 1 = 0`` with
 ``T_p(0) = 1``.  For p = 2 this is the Catalan generating function.  The
 principal branch is analytic off the cut ``[branch_point, +inf)`` on the
-positive real axis and is evaluated here by Newton iteration seeded from
-the series near the origin and continued stepwise along the ray 0 -> z.
+positive real axis.  :func:`fc_eval_many` evaluates it in three zones
+(``bp`` the branch point):
+
+* ``|z| <= bp/2``: the Fuss-Catalan series, summed and returned as is;
+* ``|z| >= 3 bp``: the series at infinity, ``T_p(z) = w S(w)`` with
+  ``w = (-z)^(-1/p)`` on the principal root and ``S`` the root of
+  ``s^p + w s - 1 = 0`` with ``S(0) = 1``, then a Newton polish;
+* the annulus between: a short continuation from the inner disk up the
+  imaginary axis and along ``|w| = |z|``.
+
+Every value outside the inner disk must pass a branch certificate
+(residual, ``p |arg T| < pi``, ``Im T`` with the sign of ``Im z``, and
+``|T| < p/(p-1)`` when ``|z| < bp``); a point that fails is recomputed by
+a dense continuation along the same path, which must pass it too.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .errors import (
     NonConvergenceError,
 )
 
-#: number of series terms used to seed Newton near the origin
+#: terms of the Fuss-Catalan series summed inside the inner disk
 SERIES_TERMS = 40
 #: series is trusted inside |z| <= SERIES_RADIUS_FACTOR * branch_point
 SERIES_RADIUS_FACTOR = 0.5
@@ -29,8 +41,24 @@ SERIES_RADIUS_FACTOR = 0.5
 CUT_TOL = 1e-8
 #: functional-equation residual target, relative to 1 + |z T^p|
 RESIDUAL_TOL = 1e-12
-MAX_CONTINUATION_STEPS = 64
-NEWTON_MAX_ITER = 60
+#: the series at infinity seeds every point with |z| >= this * branch_point
+OUTER_RADIUS_FACTOR = 3.0
+#: terms of the series at infinity; its seed error is below 1e-6 at p <= 6
+OUTER_TERMS = 48
+#: Newton steps after the outer seed, per continuation step, and at the
+#: end of a continuation
+OUTER_NEWTON = 3
+STEP_NEWTON = 2
+END_NEWTON = 6
+#: steps per leg of the continuation, in the annulus and in the fallback
+SHORT_STEPS = 4
+DENSE_STEPS = 400
+#: round-off allowance of the Im-sign test, relative to |T|
+BRANCH_TOL = 1e-12
+#: up to this many points a series is summed from a table of powers
+TABLE_POINTS = 256
+#: fc_eval_many works through its input in blocks of this many points
+BLOCK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -107,6 +135,7 @@ def fc_series_coeffs(params: FussCatalanParams, n_max: int) -> list[Fraction]:
 
 
 _COEFF_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_OUTER_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _series_coeffs_float(params: FussCatalanParams, n_max: int) -> np.ndarray:
@@ -148,97 +177,166 @@ def cut_distance_to_positive_ray(params: FussCatalanParams, z) -> np.ndarray:
 def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
     """Vectorized principal-branch evaluation of T_p.
 
+    Calls whose points all lie in the inner disk take the series and
+    nothing else.  Every other point gets a seed (outer series or short
+    continuation), a Newton polish and the branch certificate; points
+    that fail it are recomputed by the dense continuation.
+
     Raises
     ------
     CutProximityError
         if any point is within CUT_TOL of the cut.
     NonConvergenceError
-        if Newton fails after the continuation budget.
+        if a point fails the branch certificate after dense continuation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(cut_distance_to_positive_ray(params, z) < CUT_TOL):
-        raise CutProximityError(
-            f"point within {CUT_TOL} of the cut [{params.branch_point}, inf)"
-        )
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    # blocks bound the temporaries, and so the heap a large call leaves behind
+    for lo in range(0, flat.size, BLOCK_POINTS):
+        out[lo:lo + BLOCK_POINTS] = _eval_block(params, flat[lo:lo + BLOCK_POINTS])
+    return out.reshape(z.shape)
+
+
+def _eval_block(params: FussCatalanParams, z: np.ndarray) -> np.ndarray:
     p = params.p
     bp = params.branch_point
     coeffs = _series_coeffs_float(params, SERIES_TERMS)
+    radius = np.abs(z)
+    inner = radius <= SERIES_RADIUS_FACTOR * bp
+    if inner.all():
+        return _power_series(z, coeffs)
+
+    dist = cut_distance_to_positive_ray(params, z)
+    near = dist < CUT_TOL
+    if near.any():
+        i = int(np.argmax(near))
+        raise CutProximityError(
+            f"p={p}: z={complex(z[i])} lies {dist[i]:.3e} from the cut "
+            f"[{bp:.6g}, inf), closer than CUT_TOL={CUT_TOL:g}"
+        )
     out = np.empty_like(z)
+    if inner.any():
+        out[inner] = _power_series(z[inner], coeffs)
+    outer = radius >= OUTER_RADIUS_FACTOR * bp
+    if outer.any():
+        zo = z[outer]
+        w = (-zo) ** (-1.0 / p)
+        seed = w * _power_series(w, _outer_coeffs(p, OUTER_TERMS))
+        out[outer] = _newton(p, zo, seed, OUTER_NEWTON)
+    mid = ~inner & ~outer
+    if mid.any():
+        out[mid] = _continue(params, z[mid], SHORT_STEPS)
 
-    small = np.abs(z) <= SERIES_RADIUS_FACTOR * bp
-    if np.any(small):
-        out[small] = np.polynomial.polynomial.polyval(z[small], coeffs)
-
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        direction = zb / np.abs(zb)
-        s0 = SERIES_RADIUS_FACTOR * bp * 0.8
-        t = np.polynomial.polynomial.polyval(s0 * direction, coeffs)
-        # geometric radius schedule shared by all points
-        n_steps = MAX_CONTINUATION_STEPS
-        ratio = (np.abs(zb) / s0) ** (1.0 / n_steps)
-        radius = np.full(zb.shape, s0)
-        for _ in range(n_steps):
-            radius = radius * ratio
-            t = _newton(p, direction * radius, t)
-        t = _newton(p, zb, t)
-        out[big] = t
-
-    resid = np.abs(z * out**p - out + 1.0)
-    bad = resid > RESIDUAL_TOL * (1.0 + np.abs(z * out**p))
-    if np.any(bad):
-        # per-point retry with a denser schedule before giving up
-        for idx in np.flatnonzero(bad):
-            out[idx] = _fc_eval_slow(params, complex(z[idx]), coeffs)
+    rest = np.flatnonzero(~inner)
+    failed = rest[~_certified(params, z[rest], out[rest])]
+    if failed.size:
+        zf = z[failed]
+        t = _continue(params, zf, DENSE_STEPS)
+        ok = _certified(params, zf, t)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise NonConvergenceError(
+                f"p={p}: no certified principal root at z={complex(zf[i])} "
+                f"after dense continuation (residual {_residual(p, zf, t)[i]:.3e})"
+            )
+        out[failed] = t
     return out
 
 
-def _newton(p: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    for _ in range(NEWTON_MAX_ITER):
-        tp1 = t ** (p - 1)
-        f = z * tp1 * t - t + 1.0
-        df = p * z * tp1 - 1.0
-        df = np.where(np.abs(df) < 1e-300, 1e-300, df)
-        step = f / df
-        t = t - step
-        if np.all(np.abs(f) <= 1e-14 * (1.0 + np.abs(z * tp1 * t))):
-            break
-    return t
+def _power_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k."""
+    if x.size <= TABLE_POINTS:
+        # a table of powers: two numpy calls instead of one per term
+        powers = np.cumprod(np.broadcast_to(x, (coeffs.size - 1, x.size)), axis=0)
+        return coeffs[0] + (coeffs[1:] @ powers.view(float)).view(complex)
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
-def _fc_eval_slow(
-    params: FussCatalanParams, z: complex, coeffs: np.ndarray
-) -> complex:
-    """Scalar fallback: denser geometric continuation with step-halving."""
-    p = params.p
-    s0 = SERIES_RADIUS_FACTOR * params.branch_point * 0.5
-    direction = z / abs(z)
-    t = complex(np.polynomial.polynomial.polyval(s0 * direction, coeffs))
-    radius = s0
-    target = abs(z)
-    step_factor = 1.2
-    budget = 4000
-    while radius < target and budget > 0:
-        budget -= 1
-        trial_radius = min(radius * step_factor, target)
-        trial = _newton(p, np.array([direction * trial_radius]), np.array([t]))[0]
-        resid = abs(trial_radius * direction * trial**p - trial + 1.0)
-        if resid <= RESIDUAL_TOL * (1.0 + abs(trial_radius * direction * trial**p)):
-            radius = trial_radius
-            t = trial
-            step_factor = min(step_factor * 1.1, 1.5)
-        else:
-            step_factor = 1.0 + (step_factor - 1.0) / 2.0
-            if step_factor - 1.0 < 1e-6:
-                break
-    t = complex(_newton(p, np.array([z]), np.array([t]))[0])
-    resid = abs(z * t**p - t + 1.0)
-    if resid > RESIDUAL_TOL * (1.0 + abs(z * t**p)):
-        raise NonConvergenceError(
-            f"Newton continuation failed at z={z} (residual {resid:.3e})"
+def _outer_coeffs(p: int, n_max: int) -> np.ndarray:
+    """Coefficients a_0..a_n of S(w), the root of s^p + w s - 1 with S(0) = 1.
+
+    Lagrange inversion gives
+    ``a_m = (-1)^m prod_{j=1}^{m-1} (m + 1 - j p) / (p^m m!)``, and
+    ``T_p(z) = w S(w)`` with ``w = (-z)^(-1/p)``; the series converges
+    for ``|z| > branch_point``.
+    """
+    key = (p, n_max)
+    if key not in _OUTER_CACHE:
+        _OUTER_CACHE[key] = np.array(
+            [
+                float(Fraction((-1) ** m * math.prod(m + 1 - j * p for j in range(1, m)),
+                               p**m * math.factorial(m)))
+                for m in range(n_max + 1)
+            ]
         )
+    return _OUTER_CACHE[key]
+
+
+def _newton(p: int, z: np.ndarray, t: np.ndarray, steps: int) -> np.ndarray:
+    for _ in range(steps):
+        ztp1 = z * t ** (p - 1)
+        t = t - (ztp1 * t - t + 1.0) / (p * ztp1 - 1.0)
     return t
+
+
+def _continue(params: FussCatalanParams, z: np.ndarray, steps: int) -> np.ndarray:
+    """Follow the root from the inner disk to z, keeping off the branch point.
+
+    The path starts from the series at ``i*side*r0`` (``r0`` the inner
+    radius, ``side`` the sign of Im z), climbs the imaginary axis
+    geometrically to ``|z|`` and then follows the circle ``|w| = |z|`` to
+    arg z, with the distance to the branch point changing geometrically,
+    so each step is a fixed fraction of that distance.  ``steps`` per leg.
+    """
+    p = params.p
+    bp = params.branch_point
+    r0 = SERIES_RADIUS_FACTOR * bp
+    side = np.where(z.imag < 0, -1.0, 1.0)
+    radius = np.abs(z)
+    t = _power_series(1j * side * r0, _series_coeffs_float(params, SERIES_TERMS))
+    for k in range(1, steps + 1):
+        t = _newton(p, 1j * side * r0 * (radius / r0) ** (k / steps), t, STEP_NEWTON)
+    d0 = np.hypot(radius, bp)
+    d1 = np.abs(z - bp)
+    for k in range(1, steps):
+        d = d0 * (d1 / d0) ** (k / steps)
+        # |r e^(ia) - bp|^2 = (r - bp)^2 + 4 r bp sin^2(a/2)
+        half = np.sqrt(np.clip((d * d - (radius - bp) ** 2) / (4 * radius * bp), 0.0, 1.0))
+        t = _newton(p, radius * np.exp(2j * side * np.arcsin(half)), t, STEP_NEWTON)
+    return _newton(p, z, t, END_NEWTON)
+
+
+def _residual(p: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|z T^p - T + 1| relative to 1 + |z T^p|."""
+    ztp = z * t**p
+    return np.abs(ztp - t + 1.0) / (1.0 + np.abs(ztp))
+
+
+def _certified(params: FussCatalanParams, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Branch certificate: True where t is the principal root at z.
+
+    A root passes when its residual is within RESIDUAL_TOL, when
+    ``p |arg t| < pi``, and when ``Im t`` has the sign of ``Im z`` (up to
+    BRANCH_TOL on the real axis).  The principal branch passes the last
+    test because ``T_p(z) = int dmu_p(x) / (1 - z x)`` with a positive
+    measure mu_p.  When Im z > 0 the argument principle, applied to
+    ``z = (t - 1) / t^p`` on the sector ``0 < arg t < pi/p``, leaves one
+    root there, so the tests pick one root (Im z < 0 by conjugation).  On
+    (0, branch_point) two positive roots pass them; the principal one has
+    ``|t| < p/(p-1) = T_p(branch_point)`` (Rouche on ``|t| = p/(p-1)``),
+    which is checked for every ``|z| < branch_point``.
+    """
+    p = params.p
+    allowance = BRANCH_TOL * np.abs(t)
+    side = ((z.imag < 0) | (t.imag >= -allowance)) & ((z.imag > 0) | (t.imag <= allowance))
+    disk = (np.abs(z) >= params.branch_point) | (np.abs(t) < p / (p - 1))
+    sector = p * np.abs(np.angle(t)) < np.pi
+    return (_residual(p, z, t) <= RESIDUAL_TOL) & sector & side & disk
 
 
 def fc_eval(params: FussCatalanParams, z: complex) -> complex:

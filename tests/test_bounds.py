@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from loopvertex.bounds import (
+    DEFAULT_EPSILON,
+    FACTOR_SWEEP_MODULI,
     BoundReport,
+    contour_factor_values,
     corner_bound_suite,
     fc_decay_suite,
     g_bound_suite,
@@ -74,3 +77,17 @@ def test_corner_bound_constant_finite():
     rep = corner_bound_suite(2, n_spectra=50)
     assert rep.holds
     assert np.isfinite(rep.fitted_constant)
+
+
+def test_contour_factor_is_first_order_over_lowest_decade():
+    # The contour factor vanishes like |lambda| (Taylor order 1), so its
+    # slope over 1e-4..1e-3 is 1.  The envelope check of criterion 08 fits
+    # 1e-4..1e-1 against exponents near 0.05 and misses a constant floor
+    # of 0.1 (slope 0.11); this slope reads below 0.01 for that floor.
+    moduli = np.asarray(FACTOR_SWEEP_MODULI)
+    lowest = moduli[moduli <= 10.0 * moduli[0] * (1 + 1e-9)]
+    assert lowest[0] == pytest.approx(1e-4) and lowest[-1] == pytest.approx(1e-3)
+    for p in (2, 3):
+        for arg in pacman_args(DEFAULT_EPSILON):
+            slope = loglog_slope(*contour_factor_values(p, arg, moduli=lowest))
+            assert slope == pytest.approx(1.0, abs=0.05), (p, arg, slope)

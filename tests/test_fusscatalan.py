@@ -1,7 +1,13 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from loopvertex.errors import CutProximityError
+from loopvertex import fusscatalan
+from loopvertex.errors import CutProximityError, NonConvergenceError
 from loopvertex.fusscatalan import (
     CutGeometry,
     FussCatalanParams,
@@ -11,6 +17,7 @@ from loopvertex.fusscatalan import (
     fc_log_deriv,
     fc_log_deriv_many,
     fc_series_coeffs,
+    cut_distance_to_positive_ray,
     _series_coeffs_float,
 )
 
@@ -141,3 +148,157 @@ def test_decay_envelopes_hold_with_fitted_constant():
         assert rep_t.fitted_constant >= 1.0
         assert rep_t.fitted_constant < 10.0
         assert rep_e.fitted_constant < 10.0
+
+
+# ---------------------------------------------------------------------------
+# principal branch near the cut, against references computed apart from
+# fc_eval_many
+
+
+def hyp2f1_reference(p, z):
+    """T_2 = 2F1(1/2, 1; 2; 4z) and T_3 = 2F1(1/3, 2/3; 3/2; 27z/4), by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, scale = {2: (0.5, 1, 2, 4), 3: (mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 1.5,
+                                           mpmath.mpf(27) / 4)}[p]
+    with mpmath.workdps(30):
+        return complex(mpmath.hyp2f1(a, b, c, scale * mpmath.mpc(z)))
+
+
+def dense_reference(p, z, steps=2000):
+    """T_p by dense continuation from the series at 0.01*bp*i*side.
+
+    The root is followed up the imaginary axis to |z| and then along
+    |w| = |z| to arg z in uniform angle steps, 4 Newton steps each; no
+    step may move it by 5% (the p roots are much farther apart).
+    """
+    bp = FussCatalanParams(p).branch_point
+    z = complex(z)
+    radius, theta = abs(z), cmath.phase(z)
+    side = 1.0 if theta >= 0 else -1.0
+    r0 = 0.01 * bp
+    # at 0.01 * bp twelve terms of the series leave a tail below 1e-20
+    coeffs = [float(c) for c in fc_series_coeffs(FussCatalanParams(p), 12)]
+    t = complex(np.polynomial.polynomial.polyval(1j * side * r0, coeffs))
+    path = [1j * side * r0 * (radius / r0) ** (k / steps) for k in range(1, steps + 1)]
+    path += [cmath.rect(radius, side * math.pi / 2 + (theta - side * math.pi / 2) * k / steps)
+             for k in range(1, steps + 1)]
+    for w in path + [z] * 4:
+        prev = t
+        for _ in range(4):
+            t = t - (w * t**p - t + 1.0) / (p * w * t ** (p - 1) - 1.0)
+        assert abs(t - prev) <= 0.05 * abs(prev)
+    assert abs(z * t**p - t + 1.0) <= 1e-12 * (1.0 + abs(z * t**p))
+    return t
+
+
+def reference(p, z):
+    return hyp2f1_reference(p, z) if p in (2, 3) else dense_reference(p, z)
+
+
+def assert_principal(p, z, t):
+    """Both branch conditions: p |arg T| < pi and Im T has the sign of Im z.
+
+    The sign test allows round-off (1e-12 |T|) for z on or next to the
+    real axis.
+    """
+    assert p * abs(np.angle(t)) < np.pi, (p, z, t)
+    assert np.sign(z.imag) * t.imag >= -1e-12 * abs(t), (p, z, t)
+
+
+#: points where the fixed 64-step continuation returned a non-principal
+#: root that passed the residual check; the third is the second such p=5
+#: point drawn by default_rng([20191, 5]) (|z| in 1..1e5, |arg z| in
+#: 1e-4..1e-1)
+NEAR_CUT_MISSES = (
+    (3, 4.8553900618812404 - 0.0011348500010837617j),
+    (5, 3270.851693451676 + 1.3312174011928193j),
+    (5, 93.87571809207905 - 0.06377256003121913j),
+)
+
+
+@pytest.mark.parametrize("p, z", NEAR_CUT_MISSES + (
+    # a radial continuation with step-halving returned 1.00350 - 0.32376i
+    # here, where dense continuation gives 1.00344 + 0.32359i
+    (5, 0.248399 + 1.0723e-4j),
+))
+def test_near_cut_points_land_on_principal_branch(p, z):
+    t = fc_eval(FussCatalanParams(p), z)
+    ref = reference(p, z)
+    assert abs(t - ref) <= 1e-8 * abs(ref)
+    assert_principal(p, z, t)
+
+
+@settings(max_examples=150)
+@given(
+    p=st.integers(2, 6),
+    log_modulus=st.floats(-3.0, 5.0),
+    log_angle=st.floats(-6.0, np.log10(np.pi)),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_principal_branch_property(p, log_modulus, log_angle, side):
+    z = 10.0**log_modulus * np.exp(1j * side * 10.0**log_angle)
+    bp = FussCatalanParams(p).branch_point
+    # the uniform-step reference needs room around the branch point
+    assume(abs(z - bp) > 1e-3 * bp)
+    assume(cut_distance_to_positive_ray(FussCatalanParams(p), z) >= 1e-7)
+    t = fc_eval(FussCatalanParams(p), z)
+    ref = reference(p, z)
+    assert abs(t - ref) <= 1e-8 * abs(ref), (p, z, t, ref)
+    assert_principal(p, z, t)
+
+
+def test_dense_fallback_repairs_uncertified_seeds(monkeypatch):
+    # without the Newton polish no outer seed passes the residual test, so
+    # every point with |z| >= 3 bp goes through the dense continuation
+    monkeypatch.setattr(fusscatalan, "OUTER_NEWTON", 0)
+    for p, z in NEAR_CUT_MISSES + ((2, -40.0 + 3.0j), (4, 7.0j)):
+        t = fc_eval(FussCatalanParams(p), z)
+        ref = reference(p, z)
+        assert abs(t - ref) <= 1e-8 * abs(ref)
+
+
+def test_cut_proximity_error_names_p_point_and_distance():
+    z = np.array([0.01, -1.0, 0.3 + 5e-9j, 0.4])
+    with pytest.raises(CutProximityError,
+                       match=r"p=2: z=\(0\.3\+5e-09j\) lies 5\.000e-09 from the cut"):
+        fc_eval_many(FussCatalanParams(2), z)
+
+
+def test_non_convergence_error_names_p_point_and_residual(monkeypatch):
+    # a continuation with no Newton steps cannot reach the root
+    monkeypatch.setattr(fusscatalan, "STEP_NEWTON", 0)
+    monkeypatch.setattr(fusscatalan, "END_NEWTON", 0)
+    with pytest.raises(NonConvergenceError,
+                       match=r"p=3: .* at z=\(0\.2\+0\.1j\) .*residual \d\.\d{3}e[-+]\d+"):
+        fc_eval(FussCatalanParams(3), 0.2 + 0.1j)
+
+
+def test_certificate_accepts_exactly_the_principal_root():
+    # every root of z T^p - T + 1, polished; only the principal one passes
+    rng = np.random.default_rng(5)
+    for p in range(2, 7):
+        params = FussCatalanParams(p)
+        bp = params.branch_point
+        z = np.concatenate([
+            10.0 ** rng.uniform(-2, 4, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40)),
+            10.0 ** rng.uniform(-1, 4, 20) * np.exp(1j * rng.choice([-1, 1], 20) * 1e-5),
+            [-0.5 * bp, -30.0, 0.6 * bp, 0.95 * bp],
+        ])
+        for zz in z:
+            roots = np.roots(np.r_[zz, np.zeros(p - 2), -1.0, 1.0])
+            roots = fusscatalan._newton(p, np.full(p, zz), roots, 2)
+            passed = roots[fusscatalan._certified(params, np.full(p, zz), roots)]
+            assert passed.size == 1, (p, zz, roots)
+            assert abs(passed[0] - fc_eval(params, zz)) <= 1e-10 * abs(passed[0])
+
+
+def test_shape_kept_across_zones_and_blocks():
+    # inner, annulus and outer points in a 2-D array longer than one block
+    params = FussCatalanParams(4)
+    z = off_cut_grid(params, 3 * fusscatalan.BLOCK_POINTS + 5, seed=9)
+    grid = z.reshape(1, -1)
+    t = fc_eval_many(params, grid)
+    assert t.shape == grid.shape
+    assert np.array_equal(t.ravel(), fc_eval_many(params, z))
+    head = fc_eval_many(params, z[:7])
+    assert np.max(np.abs(head - t[0, :7])) <= 1e-14 * np.max(np.abs(head))
