@@ -55,10 +55,6 @@ SHORT_STEPS = 4
 DENSE_STEPS = 400
 #: round-off allowance of the Im-sign test, relative to |T|
 BRANCH_TOL = 1e-12
-#: up to this many points a series is summed from a table of powers
-TABLE_POINTS = 256
-#: fc_eval_many works through its input in blocks of this many points
-BLOCK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -190,22 +186,14 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
         if a point fails the branch certificate after dense continuation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    # blocks bound the temporaries, and so the heap a large call leaves behind
-    for lo in range(0, flat.size, BLOCK_POINTS):
-        out[lo:lo + BLOCK_POINTS] = _eval_block(params, flat[lo:lo + BLOCK_POINTS])
-    return out.reshape(z.shape)
-
-
-def _eval_block(params: FussCatalanParams, z: np.ndarray) -> np.ndarray:
+    shape, z = z.shape, z.ravel()
     p = params.p
     bp = params.branch_point
     coeffs = _series_coeffs_float(params, SERIES_TERMS)
     radius = np.abs(z)
     inner = radius <= SERIES_RADIUS_FACTOR * bp
     if inner.all():
-        return _power_series(z, coeffs)
+        return _power_series(z, coeffs).reshape(shape)
 
     dist = cut_distance_to_positive_ray(params, z)
     near = dist < CUT_TOL
@@ -241,15 +229,11 @@ def _eval_block(params: FussCatalanParams, z: np.ndarray) -> np.ndarray:
                 f"after dense continuation (residual {_residual(p, zf, t)[i]:.3e})"
             )
         out[failed] = t
-    return out
+    return out.reshape(shape)
 
 
 def _power_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k."""
-    if x.size <= TABLE_POINTS:
-        # a table of powers: two numpy calls instead of one per term
-        powers = np.cumprod(np.broadcast_to(x, (coeffs.size - 1, x.size)), axis=0)
-        return coeffs[0] + (coeffs[1:] @ powers.view(float)).view(complex)
+    """sum_k coeffs[k] x^k by Horner's rule, in place."""
     out = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
         out *= x

@@ -248,13 +248,26 @@ def test_principal_branch_property(p, log_modulus, log_angle, side):
 
 
 def test_dense_fallback_repairs_uncertified_seeds(monkeypatch):
-    # without the Newton polish no outer seed passes the residual test, so
-    # every point with |z| >= 3 bp goes through the dense continuation
+    # one term of the series at infinity and no Newton polish leave the
+    # seed w, whose residual is |w|/2, so every outer point must be
+    # repaired by the dense continuation
+    monkeypatch.setattr(fusscatalan, "OUTER_TERMS", 1)
     monkeypatch.setattr(fusscatalan, "OUTER_NEWTON", 0)
+    calls = []
+    continue_ = fusscatalan._continue
+
+    def counted(params, z, steps):
+        calls.append((steps, z.size))
+        return continue_(params, z, steps)
+
+    monkeypatch.setattr(fusscatalan, "_continue", counted)
     for p, z in NEAR_CUT_MISSES + ((2, -40.0 + 3.0j), (4, 7.0j)):
+        calls.clear()
         t = fc_eval(FussCatalanParams(p), z)
+        assert calls == [(fusscatalan.DENSE_STEPS, 1)], (p, z, calls)
         ref = reference(p, z)
         assert abs(t - ref) <= 1e-8 * abs(ref)
+        assert_principal(p, z, t)
 
 
 def test_cut_proximity_error_names_p_point_and_distance():
@@ -292,10 +305,10 @@ def test_certificate_accepts_exactly_the_principal_root():
             assert abs(passed[0] - fc_eval(params, zz)) <= 1e-10 * abs(passed[0])
 
 
-def test_shape_kept_across_zones_and_blocks():
-    # inner, annulus and outer points in a 2-D array longer than one block
+def test_shape_kept_across_zones():
+    # inner, annulus and outer points in a 2-D array
     params = FussCatalanParams(4)
-    z = off_cut_grid(params, 3 * fusscatalan.BLOCK_POINTS + 5, seed=9)
+    z = off_cut_grid(params, 2000, seed=9)
     grid = z.reshape(1, -1)
     t = fc_eval_many(params, grid)
     assert t.shape == grid.shape
