@@ -13,6 +13,15 @@ or real symmetric (beta = 1) coordinates.
 Everything tensorial (Sigma, its inverse, corner operators) is kept as
 an N x N array of eigenbasis entries; these operators are diagonal on
 the tensor basis e_i (x) e_j, so dense N^2 x N^2 matrices never appear.
+
+Every such array is a divided difference, and one kernel,
+``divided_difference``, builds them all: it maps (..., N) points,
+values and derivatives to the (..., N, N) ratio matrix and takes the
+derivative limit wherever two points lie closer than COINCIDENCE_TOL.
+The action, Sigma, the resolvent, the gradient, the tree amplitudes and
+the Monte Carlo integrands all go through it.  The resolvent, corner
+and gradient functions are batch-first: they take a SpectralData or a
+(..., N) stack of eigenvalues, and a single spectrum is a batch of one.
 """
 
 from __future__ import annotations
@@ -83,20 +92,62 @@ def map_derivatives(c: Coupling, u) -> dict[str, np.ndarray]:
     return {"t": t, "logt": np.log(t), "f": f, "h": u * f, "hp": hp, "hpp": hpp}
 
 
+def _gap_quotient(x: np.ndarray, num: np.ndarray, dnum: np.ndarray) -> np.ndarray:
+    """num_ij / (x_i - x_j) over the last axis of x, with its coincidence limit.
+
+    The one coincidence rule of the package: wherever
+    |x_i - x_j| < COINCIDENCE_TOL the quotient is replaced by the
+    derivative limit (dnum_i + dnum_j) / 2.  The diagonal always
+    coincides and takes dnum_i; other coincidences are rare, so the limit
+    is formed at their entries only.
+    """
+    diag = np.arange(x.shape[-1])
+    dx = x[..., :, None] - x[..., None, :]
+    dx[..., diag, diag] = 1.0
+    near = np.abs(dx) < COINCIDENCE_TOL
+    dx[near] = 1.0
+    out = num / dx
+    out[..., diag, diag] = dnum
+    if near.any():  # np.nonzero is slow on large batches; look first
+        at = np.nonzero(near)
+        out[at] = 0.5 * (dnum[at[:-1]] + dnum[at[:-2] + at[-1:]])
+    return out
+
+
+def divided_difference(x, fx, dfx) -> np.ndarray:
+    """Batched divided differences (fx_i - fx_j) / (x_i - x_j).
+
+    x, fx and dfx are (..., N) points, values and derivatives; the
+    result is (..., N, N).  At coincident points (|x_i - x_j| below
+    COINCIDENCE_TOL, the diagonal included) the entry is the derivative
+    limit (dfx_i + dfx_j) / 2.
+    """
+    fx = np.asarray(fx)
+    return _gap_quotient(np.asarray(x), fx[..., :, None] - fx[..., None, :], np.asarray(dfx))
+
+
+def _eigenvalues(s_k) -> np.ndarray:
+    """(..., N) eigenvalues of a SpectralData or an eigenvalue array."""
+    if isinstance(s_k, SpectralData):
+        s_k = s_k.eigenvalues
+    return np.asarray(s_k, dtype=complex if np.iscomplexobj(s_k) else float)
+
+
 def _log_ratio_matrix(kappa: np.ndarray, h: np.ndarray, hp: np.ndarray) -> np.ndarray:
-    """log of the divided-difference matrix, derivative limit at coincidences."""
-    dk = kappa[:, None] - kappa[None, :]
-    dh = h[:, None] - h[None, :]
-    near = np.abs(dk) < COINCIDENCE_TOL
-    ratio = np.where(near, 1.0, dh / np.where(near, 1.0, dk))
-    diag_limit = 0.5 * (hp[:, None] + hp[None, :])
-    ratio = np.where(near, diag_limit, ratio)
+    """log of the divided-difference matrix of h at the eigenvalues kappa."""
+    ratio = divided_difference(kappa, h, hp)
     on_branch_cut = (ratio.real <= 0) & (
         np.abs(ratio.imag) <= 1e-12 * (1.0 + np.abs(ratio))
     )
     if np.any(on_branch_cut):
+        at = np.unravel_index(np.argmax(on_branch_cut), on_branch_cut.shape)
+        i, j = at[-2:]
+        row = kappa[at[:-2]]
         raise LogBranchAmbiguityError(
-            "a divided-difference ratio reached the negative real axis"
+            f"action log-ratio: divided difference {complex(ratio[at]):.6g} of h "
+            f"at eigenvalue pair ({i}, {j}) = ({complex(row[i]):.6g}, "
+            f"{complex(row[j]):.6g}) lies on the negative real axis "
+            f"(|Im| <= 1e-12 (1 + |ratio|)); the log branch is undecided"
         )
     return np.log(ratio)
 
@@ -125,53 +176,63 @@ def action_split(c: Coupling, s_k: SpectralData) -> tuple[complex, complex]:
     return s1, total - s1
 
 
-def resolvent_entries(c: Coupling, s_k: SpectralData) -> ResolventEntries:
+def _resolvent_values(kappa: np.ndarray, md: dict) -> np.ndarray:
+    # k(eta_i) = kappa_i exactly, since k inverts h, and k'(eta) = 1/h'(kappa)
+    return divided_difference(md["h"], kappa, 1.0 / md["hp"])
+
+
+def resolvent_entries(c: Coupling, s_k) -> ResolventEntries:
     """Entries (1 + Sigma)^(-1)_ij = (k(eta_i) - k(eta_j))/(eta_i - eta_j).
 
     eta_i = h(kappa_i); the diagonal/coincident limit is k'(eta_i) =
     1/h'(kappa_i).  lambda_bounds carries the growth envelope
-    max(1, |lam|^(1/2p) |eta|^(1-1/p)) per index pair.
+    max(1, |lam|^(1/2p) |eta|^(1-1/p)) per index pair.  Batch-first:
+    s_k is a SpectralData or (..., N) eigenvalues, and both arrays are
+    (..., N, N).
     """
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
+    kappa = _eigenvalues(s_k)
     lam = complex(c.lam)
     if lam == 0:
-        n = len(kappa)
-        return ResolventEntries(np.ones((n, n), dtype=complex), np.ones((n, n)))
+        ones = np.ones(kappa.shape + kappa.shape[-1:])
+        return ResolventEntries(ones.astype(complex), ones)
     md = map_derivatives(c, kappa)
-    eta, hp = md["h"], md["hp"]
-    # k(eta_i) = kappa_i exactly, since k inverts h
-    dk = kappa[:, None] - kappa[None, :]
-    de = eta[:, None] - eta[None, :]
-    near = np.abs(dk) < COINCIDENCE_TOL
-    values = np.where(near, 1.0, dk / np.where(near, 1.0, de))
-    diag_limit = 0.5 * (1.0 / hp[:, None] + 1.0 / hp[None, :])
-    values = np.where(near, diag_limit, values)
-    envelope = np.abs(lam) ** (1.0 / (2 * c.p)) * np.abs(eta) ** (1.0 - 1.0 / c.p)
+    envelope = np.abs(lam) ** (1.0 / (2 * c.p)) * np.abs(md["h"]) ** (1.0 - 1.0 / c.p)
     bounds = np.maximum(
-        1.0, np.maximum(envelope[:, None], envelope[None, :])
+        1.0, np.maximum(envelope[..., :, None], envelope[..., None, :])
     )
-    return ResolventEntries(values=values, lambda_bounds=bounds)
+    return ResolventEntries(values=_resolvent_values(kappa, md), lambda_bounds=bounds)
 
 
-def corner_operator(
-    c: Coupling, s_k: SpectralData, u_k: complex, u_k1: complex
-) -> np.ndarray:
-    """Eigenbasis entries of the contour-corner operator at (u_k, u_k1)."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
+def corner_operator(c: Coupling, s_k, u_k, u_k1) -> np.ndarray:
+    """Eigenbasis entries of the contour-corner operator at (u_k, u_k1).
+
+    Batch-first: s_k is a SpectralData or (..., N) eigenvalues, and the
+    nodes u_k, u_k1 broadcast to a shape U of node pairs.  The resolvent
+    is computed once per spectrum and the result is (..., *U, N, N).
+    """
+    kappa = _eigenvalues(s_k)
+    u_k, u_k1 = np.broadcast_arrays(
+        np.asarray(u_k, dtype=complex), np.asarray(u_k1, dtype=complex)
+    )
+    lead = kappa.shape[:-1]
+    n = kappa.shape[-1]
+    kap = kappa.reshape(lead + (1,) * u_k.ndim + (n,))
     for u in (u_k, u_k1):
-        if np.min(np.abs(u - kappa)) < 1e-12:
-            raise PoleCollisionError(f"contour point {u} collides with the spectrum")
-    res = resolvent_entries(c, s_k).values
-    ri_k = 1.0 / (u_k - kappa)
-    ri_k1 = 1.0 / (u_k1 - kappa)
-    left = ri_k[:, None] * ri_k1[:, None] * ri_k[None, :]
-    right = ri_k[:, None] * ri_k[None, :] * ri_k1[None, :]
+        gap = np.abs(u[..., None] - kap)
+        if np.any(gap < 1e-12):
+            at = np.unravel_index(np.argmin(gap), gap.shape)
+            raise PoleCollisionError(
+                f"corner operator at lam={complex(c.lam):.6g}: contour point "
+                f"{complex(u[at[len(lead):-1]]):.6g} lies {gap[at]:.3e} from "
+                f"eigenvalue {complex(kappa[at[:len(lead)] + at[-1:]]):.6g}, "
+                f"inside the pole guard 1e-12"
+            )
+    res = resolvent_entries(c, kappa).values.reshape(lead + (1,) * u_k.ndim + (n, n))
+    ri_k = 1.0 / (u_k[..., None] - kap)
+    ri_k1 = 1.0 / (u_k1[..., None] - kap)
+    left = ri_k[..., :, None] * ri_k1[..., :, None] * ri_k[..., None, :]
+    right = ri_k[..., :, None] * ri_k[..., None, :] * ri_k1[..., None, :]
     return res * (left + right)
-
-
-def derivative_corner_norm(gamma_r: float, gamma_psi: float) -> float:
-    """Operator-norm ceiling 2/(r sin psi) of the derivative-corner factor."""
-    return 2.0 / (gamma_r * np.sin(gamma_psi))
 
 
 def sigma_contour(
@@ -188,38 +249,31 @@ def sigma_contour(
     return sigma
 
 
-def sigma_direct(c: Coupling, s_k: SpectralData) -> np.ndarray:
+def sigma_direct(c: Coupling, s_k) -> np.ndarray:
     """Divided-difference oracle (h(k_i) - h(k_j))/(k_i - k_j) - 1."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
+    kappa = _eigenvalues(s_k)
     if complex(c.lam) == 0:
-        return np.zeros((len(kappa), len(kappa)), dtype=complex)
+        return np.zeros(kappa.shape + kappa.shape[-1:], dtype=complex)
     md = map_derivatives(c, kappa)
-    dk = kappa[:, None] - kappa[None, :]
-    dh = md["h"][:, None] - md["h"][None, :]
-    near = np.abs(dk) < COINCIDENCE_TOL
-    ratio = np.where(near, 1.0, dh / np.where(near, 1.0, dk))
-    diag_limit = 0.5 * (md["hp"][:, None] + md["hp"][None, :])
-    return np.where(near, diag_limit, ratio) - 1.0
+    return divided_difference(kappa, md["h"], md["hp"]) - 1.0
 
 
-def action_gradient_eigenvalues(
-    c: Coupling, spec: EnsembleSpec, s_k: SpectralData
-) -> np.ndarray:
-    """Diagonal eigenbasis entries g_a = dS/d kappa_a of the gradient."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
-    n = len(kappa)
+def action_gradient_eigenvalues(c: Coupling, spec: EnsembleSpec, s_k) -> np.ndarray:
+    """Diagonal eigenbasis entries g_a = dS/d kappa_a of the gradient.
+
+    Batch-first: s_k is a SpectralData or (..., N) eigenvalues.
+    """
+    kappa = _eigenvalues(s_k)
     if complex(c.lam) == 0:
-        return np.zeros(n, dtype=complex)
+        return np.zeros(kappa.shape, dtype=complex)
     md = map_derivatives(c, kappa)
-    h, hp, hpp = md["h"], md["hp"], md["hpp"]
-    res = resolvent_entries(c, s_k).values
-    dk = kappa[:, None] - kappa[None, :]
-    near = np.abs(dk) < COINCIDENCE_TOL
-    off = (res * hp[:, None] - 1.0) / np.where(near, 1.0, dk)
-    # derivative limit of the off-diagonal summand at a coincidence
-    off = np.where(near, 0.5 * (hpp / hp)[:, None], off)
-    np.fill_diagonal(off, 0.0)
-    dbl = np.diag(res) * hpp + 2.0 * off.sum(axis=1)
+    hp, hpp = md["hp"], md["hpp"]
+    res = _resolvent_values(kappa, md)
+    # d/d kappa_i of log[(h_i - h_j)/(kappa_i - kappa_j)], limit h''/2h'
+    off = _gap_quotient(kappa, res * hp[..., :, None] - 1.0, 0.5 * hpp / hp)
+    diag = np.arange(kappa.shape[-1])
+    off[..., diag, diag] = 0.0
+    dbl = res[..., diag, diag] * hpp + 2.0 * off.sum(axis=-1)
     single = hpp / hp
     return (1.0 - spec.beta / 2.0) * single + (spec.beta / 2.0) * dbl
 

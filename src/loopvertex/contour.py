@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ContourClearanceError,
     CutCollisionError,
     QuadratureDivergenceError,
     SpectrumTooLargeError,
@@ -32,6 +33,8 @@ DEFAULT_PANELS = 512
 GL_ORDER = 8
 CAUCHY_TOL = 1e-8
 MAX_DOUBLINGS = 5
+#: Gauss-Legendre nodes and weights on [-1, 1], shared by every panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -107,27 +110,27 @@ def _pieces(R: float, r: float, psi: float) -> list:
 
 
 def _quadrature(pieces: list, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     lengths = np.array([p.length() for p in pieces])
     shares = np.maximum(
         2, np.rint(n_panels * lengths / lengths.sum()).astype(int)
     )
     nodes, dnodes = [], []
     for piece, m in zip(pieces, shares):
+        # (panel, node) grids of the parameter t on [0, 1] and its weights
         edges = np.linspace(0.0, 1.0, m + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            t = 0.5 * (hi - lo) * (x + 1.0) + lo
-            wt = 0.5 * (hi - lo) * w
-            if isinstance(piece, _Arc):
-                ang = piece.a0 + t * (piece.a1 - piece.a0)
-                u = piece.radius * np.exp(1j * ang)
-                du = 1j * u * (piece.a1 - piece.a0) * wt
-            else:
-                d = piece.z1 - piece.z0
-                u = piece.z0 + t * d
-                du = d * wt
-            nodes.append(u)
-            dnodes.append(du)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        t = 0.5 * (hi - lo) * (_GL_X + 1.0) + lo
+        wt = 0.5 * (hi - lo) * _GL_W
+        if isinstance(piece, _Arc):
+            ang = piece.a0 + t * (piece.a1 - piece.a0)
+            u = piece.radius * np.exp(1j * ang)
+            du = 1j * u * (piece.a1 - piece.a0) * wt
+        else:
+            d = piece.z1 - piece.z0
+            u = piece.z0 + t * d
+            du = d * wt
+        nodes.append(u.ravel())
+        dnodes.append(du.ravel())
     return np.concatenate(nodes), np.concatenate(dnodes)
 
 
@@ -158,7 +161,9 @@ def build_keyhole(
             r = 0.6 * start
         if psi <= 0 or r <= 0:
             raise CutCollisionError(
-                "no keyhole with positive cut clearance exists"
+                f"build_keyhole: no keyhole with positive cut clearance exists "
+                f"for p={c.p}, lam={lam:.6g} (opening angle psi={psi:.3e}, "
+                f"cap radius r={r:.3e})"
             )
     else:
         psi = c.epsilon / 2.0
@@ -168,22 +173,30 @@ def build_keyhole(
     probes_in = [0.0, 0.3 * r, -0.3 * r, 0.45j * r, min(spectral_radius, R / 2)]
     probes_out = [R + 1.0, 1j * R, 2 * r * np.exp(1j * (psi + 0.5 * (np.pi - 2 * psi)))]
     n_panels = max(64, n_nodes // GL_ORDER)
+    probes = np.array(probes_in + probes_out, dtype=complex)
+    targets = np.array([1.0] * len(probes_in) + [0.0] * len(probes_out))
     for _ in range(MAX_DOUBLINGS + 1):
         nodes, dnodes = _quadrature(pieces, n_panels)
         gamma = KeyholeContour(R=R, r=r, psi=psi, nodes=nodes, dnodes=dnodes, pieces=pieces)
-        ok = all(abs(gamma.cauchy(a) - 1.0) <= CAUCHY_TOL for a in probes_in)
-        ok = ok and all(abs(gamma.cauchy(a)) <= CAUCHY_TOL for a in probes_out)
-        if ok:
+        gaps = np.array([abs(gamma.cauchy(a) - t) for a, t in zip(probes, targets)])
+        if np.all(gaps <= CAUCHY_TOL):
             break
         n_panels *= 2
     else:
+        k = int(np.argmax(gaps))
         raise QuadratureDivergenceError(
-            "Cauchy self-test failed after panel doubling"
+            f"build_keyhole: Cauchy self-test failed after {MAX_DOUBLINGS} panel "
+            f"doublings ({len(nodes)} nodes) for p={c.p}, lam={lam:.6g}; worst probe "
+            f"{complex(probes[k]):.6g} has Cauchy gap {gaps[k]:.3e} > {CAUCHY_TOL:g}"
         )
     if lam != 0:
         clearance = fc_cut_distance(c.params, lam, gamma.nodes)
         if np.any(clearance <= 0):
-            raise CutCollisionError("contour node lies on a cut ray")
+            k = int(np.argmin(clearance))
+            raise CutCollisionError(
+                f"build_keyhole: contour node {complex(gamma.nodes[k]):.6g} lies on "
+                f"a cut ray for p={c.p}, lam={lam:.6g} (clearance {clearance[k]:.3e})"
+            )
     return gamma
 
 
@@ -200,7 +213,12 @@ def min_spectrum_distance(gamma: KeyholeContour, eigenvalues) -> float:
         for piece in gamma.pieces
     )
     floor = gamma.r * np.sin(gamma.psi)
-    assert d >= floor * (1.0 - 1e-12), (d, floor)
+    if d < floor * (1.0 - 1e-12):
+        raise ContourClearanceError(
+            f"min_spectrum_distance: spectrum {eigenvalues.tolist()} lies {d:.6e} "
+            f"from the keyhole (R={gamma.R:.6g}, r={gamma.r:.6g}, psi={gamma.psi:.6g}), "
+            f"below the clearance floor r sin(psi) = {floor:.6e}"
+        )
     return float(d)
 
 

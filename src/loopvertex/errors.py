@@ -29,6 +29,10 @@ class CutCollisionError(LoopVertexError):
     """No keyhole geometry with positive clearance from the cut rays exists."""
 
 
+class ContourClearanceError(LoopVertexError):
+    """A spectrum sits closer to the keyhole than its clearance floor."""
+
+
 class SpectrumTooLargeError(LoopVertexError):
     """Eigenvalues exceed the radius the contour was built for."""
 

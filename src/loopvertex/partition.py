@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .action import map_derivatives
+from .action import divided_difference, map_derivatives
 from .errors import (
     OutOfRangeError,
     QuadratureUnderResolvedError,
@@ -339,17 +339,11 @@ def z_lvr(
     big_n = spec.N
     if method == "monte_carlo":
         def log_integrand(eigs):
-            md = map_derivatives(c, eigs.astype(complex).ravel())
-            n = spec.N
-            hp = md["hp"].reshape(eigs.shape)
-            h = md["h"].reshape(eigs.shape)
-            dk = eigs[..., :, None] - eigs[..., None, :]
-            dh = h[..., :, None] - h[..., None, :]
-            eye = np.eye(n, dtype=bool)
-            ratio = np.where(eye, 1.0, dh / np.where(eye, 1.0, dk))
-            iu = np.triu_indices(n, k=1)
+            md = map_derivatives(c, eigs)
+            ratio = divided_difference(eigs, md["h"], md["hp"])
+            iu = np.triu_indices(spec.N, k=1)
             pair = np.sum(np.log(ratio[..., iu[0], iu[1]]), axis=-1)
-            s = np.sum(np.log(hp), axis=-1) + spec.beta * pair
+            s = np.sum(np.log(md["hp"]), axis=-1) + spec.beta * pair
             return s.real  # real lambda: S is real on real spectra
 
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)

@@ -145,11 +145,17 @@ def g_integral_rep(c: Coupling, u: complex, t_nodes: int = 64) -> complex:
     return complex(-0.5 * lam * np.sum(w * integrand))
 
 
-def inverse_residual(c: Coupling, z: complex) -> float:
-    """max(|h(k(z)) - z|, |k(h(z)) - z|), the inverse-pair defect."""
+def inverse_residual(c: Coupling, z) -> np.ndarray | float:
+    """max(|h(k(z)) - z|, |k(h(z)) - z|), the inverse-pair defect.
+
+    Elementwise for an array z; a float for a scalar.
+    """
+    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     if complex(c.lam) == 0:
-        return 0.0
-    z = complex(z)
-    hk = eval_map("h", c, eval_map("k", c, z))
-    kh = eval_map("k", c, eval_map("h", c, z))
-    return max(abs(hk - z), abs(kh - z))
+        out = np.zeros(z.shape)
+    else:
+        hk = eval_map("h", c, eval_map("k", c, z))
+        kh = eval_map("k", c, eval_map("h", c, z))
+        out = np.maximum(np.abs(hk - z), np.abs(kh - z))
+    return float(out[0]) if scalar else out

@@ -18,7 +18,13 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .action import action_gradient, action_split, map_derivatives
+from .action import (
+    action_gradient,
+    action_gradient_eigenvalues,
+    action_split,
+    divided_difference,
+    map_derivatives,
+)
 from .errors import (
     BudgetExceededError,
     OutOfRangeError,
@@ -185,28 +191,10 @@ def bkar_x_matrix(t: LabeledTree, w: WeakeningVector) -> np.ndarray:
 # batched gradient machinery (beta = 2)
 
 
-def _gradient_diag_batch(c: Coupling, eigs: np.ndarray) -> np.ndarray:
-    """action_gradient eigenbasis diagonals for a (B, N) batch, beta = 2."""
-    b, n = eigs.shape
-    md = map_derivatives(c, eigs.astype(complex).ravel())
-    h = md["h"].reshape(b, n)
-    hp = md["hp"].reshape(b, n)
-    hpp = md["hpp"].reshape(b, n)
-    dk = eigs[:, :, None] - eigs[:, None, :]
-    dh = h[:, :, None] - h[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    near = np.abs(dk) < 1e-9
-    res = np.where(near, 1.0, dk / np.where(near, 1.0, dh))
-    off = (res * hp[:, :, None] - 1.0) / np.where(near, 1.0, dk)
-    off = np.where(near, 0.5 * (hpp / hp)[:, :, None], off)
-    off[:, eye] = 0.0
-    return hpp / hp + 2.0 * off.sum(axis=2)
-
-
 def _gradient_batch(c: Coupling, k_batch: np.ndarray) -> np.ndarray:
     """action_gradient for a (B, N, N) Hermitian batch, beta = 2."""
     eigs, vecs = np.linalg.eigh(k_batch)
-    g = _gradient_diag_batch(c, eigs)
+    g = action_gradient_eigenvalues(c, EnsembleSpec(N=eigs.shape[-1], beta=2), eigs)
     return np.einsum("bik,bk,bjk->bij", vecs, g, vecs.conj())
 
 
@@ -281,12 +269,9 @@ def _action_log_tables(c: Coupling, beta: int, mu: np.ndarray):
     is exactly the (e1, e2) split summed over the tensor grid.
     """
     md = map_derivatives(c, mu.astype(complex))
-    e1 = np.log(md["hp"])
-    dk = mu[:, None] - mu[None, :]
-    dh = md["h"][:, None] - md["h"][None, :]
-    ratio = dh / np.where(np.eye(len(mu), dtype=bool), 1.0, dk)
-    np.fill_diagonal(ratio, 1.0)  # diagonal never multiplies nonzero density
-    return e1, beta * np.log(ratio)
+    # diagonal entries are the limit h'; the grid density vanishes there
+    ratio = divided_difference(mu, md["h"], md["hp"])
+    return np.log(md["hp"]), beta * np.log(ratio)
 
 
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
@@ -366,21 +351,13 @@ def single_vertex_amplitude(
     rng = spawn_streams(seed, 1)[0]
     k_batch = sample_gaussian_batch(spec, rng, n_mc)
     eigs = np.linalg.eigvalsh(k_batch)
-    s_vals = np.empty(n_mc, dtype=complex)
-    s1_vals = np.empty(n_mc, dtype=complex)
-    md = map_derivatives(c, eigs.astype(complex).ravel())
-    h = md["h"].reshape(eigs.shape)
-    hp = md["hp"].reshape(eigs.shape)
-    logt = md["logt"].reshape(eigs.shape)
-    dk = eigs[:, :, None] - eigs[:, None, :]
-    dh = h[:, :, None] - h[:, None, :]
-    eye = np.eye(spec.N, dtype=bool)
-    ratio = np.where(eye, 1.0, dh / np.where(eye, 1.0, dk))
+    md = map_derivatives(c, eigs)
+    ratio = divided_difference(eigs, md["h"], md["hp"])
     iu = np.triu_indices(spec.N, k=1)
-    s_vals = np.sum(np.log(hp), axis=1) + spec.beta * np.sum(
+    s_vals = np.sum(np.log(md["hp"]), axis=1) + spec.beta * np.sum(
         np.log(ratio[:, iu[0], iu[1]]), axis=1
     )
-    s1_vals = 0.5 * spec.N * np.sum(logt, axis=1)
+    s1_vals = 0.5 * spec.N * np.sum(md["logt"], axis=1)
     value = pref * np.mean(s_vals)
     stderr = pref * float(np.std(s_vals.real) / np.sqrt(n_mc))
     return AmplitudeEstimate(

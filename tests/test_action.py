@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopvertex.action import (
+    COINCIDENCE_TOL,
+    _log_ratio_matrix,
     action_S,
     action_gradient,
+    action_gradient_eigenvalues,
     action_split,
     branch_continuity_report,
     corner_operator,
-    derivative_corner_norm,
+    divided_difference,
     jacobian_check,
     map_derivatives,
     resolvent_entries,
@@ -15,7 +20,7 @@ from loopvertex.action import (
     sigma_direct,
 )
 from loopvertex.contour import build_keyhole
-from loopvertex.errors import PoleCollisionError
+from loopvertex.errors import LogBranchAmbiguityError, PoleCollisionError
 from loopvertex.matrixcore import EnsembleSpec, eigh
 from loopvertex.scalarmaps import Coupling, eval_map
 
@@ -170,10 +175,6 @@ def test_corner_operator():
     assert np.max(np.abs(o0 - expected)) <= 1e-12
 
 
-def test_derivative_corner_norm():
-    assert derivative_corner_norm(1.0, 0.1) == pytest.approx(2.0 / np.sin(0.1))
-
-
 def test_gradient_fd_agreement():
     rng = np.random.default_rng(6)
     step = 1e-5
@@ -216,3 +217,95 @@ def test_jacobian_check_positive():
     assert rep["overall_positive"]
     rep2 = jacobian_check(3, 10.0, [0.5, 0.5])
     assert rep2["overall_positive"]
+
+
+def _reference_divided_difference(x, fx, dfx):
+    """Per-spectrum loop: (fx_i - fx_j)/(x_i - x_j), mean derivative if coincident."""
+    n = len(x)
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if abs(x[i] - x[j]) < COINCIDENCE_TOL:
+                out[i, j] = 0.5 * (dfx[i] + dfx[j])
+            else:
+                out[i, j] = (fx[i] - fx[j]) / (x[i] - x[j])
+    return out
+
+
+@st.composite
+def _coincident_spectra(draw):
+    """(B, N) spectra where some entries repeat exactly or within 1e-9."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    real = st.floats(-2.0, 2.0, allow_nan=False)
+    eigs = np.array(draw(st.lists(st.lists(real, min_size=n, max_size=n),
+                                  min_size=b, max_size=b)))
+    for row in eigs:
+        if n >= 2:
+            i, j = draw(st.permutations(range(n)))[:2]
+            kind = draw(st.sampled_from(["exact", "near", "none"]))
+            if kind == "exact":
+                row[j] = row[i]
+            elif kind == "near":
+                row[j] = row[i] + draw(st.floats(-9e-10, 9e-10))
+    return eigs
+
+
+@given(_coincident_spectra(), st.sampled_from([2, 3]),
+       st.sampled_from([0.05, 0.05j, -0.04 + 0.02j]))
+@settings(max_examples=40)
+def test_divided_difference_kernel_matches_per_spectrum_reference(eigs, p, lam):
+    md = map_derivatives(Coupling(lam=lam, p=p), eigs)
+    got = divided_difference(eigs, md["h"], md["hp"])
+    assert got.shape == eigs.shape + eigs.shape[-1:]
+    for b in range(eigs.shape[0]):
+        ref = _reference_divided_difference(eigs[b], md["h"][b], md["hp"][b])
+        assert np.array_equal(got[b], ref)
+
+
+def test_batched_resolvent_and_corner_match_single_spectra():
+    c = Coupling(lam=0.05 * np.exp(1.2j), p=3)
+    eigs = np.sort(np.random.default_rng(3).uniform(-0.4, 0.4, (5, 3)), axis=1)
+    u = np.array([1.0 + 0.3j, -0.7 + 0.9j])
+    v = np.array([0.2 - 1.1j, 1.3 + 0.1j])
+    res = resolvent_entries(c, eigs)
+    corner = corner_operator(c, eigs, u, v)
+    assert corner.shape == (5, 2, 3, 3)
+    for b, row in enumerate(eigs):
+        s = eigh(np.diag(row))
+        single = resolvent_entries(c, s)
+        assert np.array_equal(res.values[b], single.values)
+        assert np.array_equal(res.lambda_bounds[b], single.lambda_bounds)
+        for k in range(2):
+            assert np.array_equal(corner[b, k], corner_operator(c, s, u[k], v[k]))
+
+
+def test_batched_corner_operator_pole_collision():
+    c = Coupling(lam=0.05, p=2)
+    eigs = np.array([[0.1, 0.2, 0.3], [-0.3, 0.0, 0.25]])
+    nodes = np.array([1.0 + 1.0j, 0.25 + 0.0j])
+    with pytest.raises(PoleCollisionError, match=r"contour point \(?0\.25"):
+        corner_operator(c, eigs, nodes, np.array([0.5j, -0.5j]))
+    with pytest.raises(PoleCollisionError, match="eigenvalue"):
+        corner_operator(c, eigs, np.array([0.5j, -0.5j]), nodes)
+
+
+def test_log_branch_error_names_pair_and_ratio():
+    kappa = np.array([0.0, 1.0, 2.0]) + 0j
+    h = np.array([0.0, -1.0, 2.0]) + 0j  # (h_0 - h_1)/(k_0 - k_1) = -1
+    with pytest.raises(LogBranchAmbiguityError) as err:
+        _log_ratio_matrix(kappa, h, np.ones(3, dtype=complex))
+    msg = str(err.value)
+    assert "action log-ratio" in msg
+    assert "pair (0, 1)" in msg and "(0+0j, 1+0j)" in msg
+    assert "divided difference -1" in msg
+
+
+def test_gradient_eigenvalues_batch_first():
+    c = Coupling(lam=0.05, p=2)
+    spec = EnsembleSpec(N=3, beta=1)
+    eigs = np.sort(np.random.default_rng(8).uniform(-1, 1, (4, 3)), axis=1)
+    got = action_gradient_eigenvalues(c, spec, eigs)
+    for b, row in enumerate(eigs):
+        single = action_gradient_eigenvalues(c, spec, eigh(np.diag(row)))
+        assert np.array_equal(got[b], single)

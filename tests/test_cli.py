@@ -1,17 +1,21 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from loopvertex.action import jacobian_check
 from loopvertex.cli import (
     COMMANDS,
     SCHEMA_VERSION,
     _parse_n_list,
+    _write_json,
     build_parser,
     config_from_args,
     main,
     run,
 )
+from loopvertex.scalarmaps import inverse_residual
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -151,3 +155,58 @@ def test_run_config_direct(tmp_path, monkeypatch):
     assert cfg.coupling().lam == pytest.approx(0.1)
     assert run(cfg) == 0
     assert (tmp_path / "free-energy.json").exists()
+
+
+def _old_maps_check(config):
+    """The per-point loop maps-check ran before inverse_residual took arrays."""
+    c = config.coupling()
+    rng = np.random.default_rng(config.seed)
+    pts = 2.0 * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
+    worst = 0.0
+    for z in pts:
+        worst = max(worst, abs(inverse_residual(c, complex(z))))
+    ok = worst <= 1e-9
+    return {
+        "results": {"max_inverse_residual": worst, "n_points": len(pts)},
+        "checks": {"inverse_pair_identity": bool(ok)},
+    }
+
+
+def _old_jacobian_check(config):
+    """The per-spectrum loop jacobian-check ran before the batched pair scan."""
+    rng = np.random.default_rng(config.seed)
+    n_fail = 0
+    n_specs = 200
+    for _ in range(n_specs):
+        eigs = rng.uniform(-5, 5, config.N)
+        report = jacobian_check(config.p, config.lambda_modulus, eigs)
+        if not report["overall_positive"]:
+            n_fail += 1
+    return {
+        "results": {"n_spectra": n_specs, "n_failures": n_fail},
+        "checks": {"jacobian_positive": bool(n_fail == 0)},
+    }
+
+
+@pytest.mark.parametrize("argv,old_body", [
+    (["maps-check", "--lambda-modulus", "0.1", "--seed", "3"], _old_maps_check),
+    (["maps-check", "--p", "3", "--lambda-modulus", "0.05", "--lambda-arg", "2.0",
+      "--seed", "11"], _old_maps_check),
+    (["jacobian-check", "--lambda-modulus", "1.0", "--N", "3", "--seed", "5"],
+     _old_jacobian_check),
+    (["jacobian-check", "--p", "3", "--lambda-modulus", "0.3", "--N", "4", "--seed", "2"],
+     _old_jacobian_check),
+])
+def test_batched_commands_match_old_loops_byte_for_byte(argv, old_body, tmp_path):
+    new_cfg = config_from_args(argv + ["--output", str(tmp_path / "new")])
+    code = run(new_cfg)
+    old_cfg = config_from_args(argv + ["--output", str(tmp_path / "old")])
+    old_cfg.validate()
+    old_payload = old_body(old_cfg)
+    _write_json(old_cfg, old_payload)
+    assert code == (0 if all(old_payload["checks"].values()) else 1)
+    name = f"{argv[0]}.json"
+    new_bytes = (tmp_path / "new" / name).read_bytes()
+    old_bytes = (tmp_path / "old" / name).read_bytes()
+    # the output directory is echoed in the inputs; compare everything else
+    assert new_bytes.replace(b"/new", b"/old") == old_bytes

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from loopvertex import contour
 from loopvertex.contour import build_keyhole, holo_apply, min_spectrum_distance
-from loopvertex.errors import SpectrumTooLargeError
+from loopvertex.errors import (
+    ContourClearanceError,
+    CutCollisionError,
+    QuadratureDivergenceError,
+    SpectrumTooLargeError,
+)
 from loopvertex.fusscatalan import fc_cut_distance
 from loopvertex.matrixcore import eigh
 from loopvertex.scalarmaps import Coupling, eval_map
@@ -67,3 +75,44 @@ def test_geometry_parameters():
     assert g.R == pytest.approx(4.0)
     assert g.r == pytest.approx(1.0)
     assert g.psi <= 0.1 + 1e-12
+
+
+def test_clearance_error_names_spectrum_and_defect():
+    g = build_keyhole(2.0, Coupling(lam=0.05, p=2))
+    # a contour record whose cap radius claims more clearance than its pieces have
+    bad = dataclasses.replace(g, r=3.0 * g.r)
+    with pytest.raises(ContourClearanceError) as err:
+        min_spectrum_distance(bad, [g.r])
+    msg = str(err.value)
+    assert msg.startswith("min_spectrum_distance: spectrum [1.0] lies ")
+    assert "clearance floor r sin(psi)" in msg
+
+
+def test_divergence_error_names_coupling_probe_and_gap(monkeypatch):
+    monkeypatch.setattr(contour, "CAUCHY_TOL", 0.0)
+    monkeypatch.setattr(contour, "MAX_DOUBLINGS", 0)
+    with pytest.raises(QuadratureDivergenceError) as err:
+        build_keyhole(1.0, Coupling(lam=0.05j, p=3))
+    msg = str(err.value)
+    assert msg.startswith("build_keyhole: Cauchy self-test failed")
+    assert "p=3, lam=0+0.05j" in msg
+    assert "worst probe" in msg and "Cauchy gap" in msg
+
+
+def test_cut_collision_error_names_coupling():
+    # arg lam = pi puts a cut ray of h on the real axis: no opening angle
+    c = Coupling(lam=-0.05 + 0j, epsilon=1e-13, p=2)
+    with pytest.raises(CutCollisionError) as err:
+        build_keyhole(1.0, c)
+    msg = str(err.value)
+    assert "p=2, lam=-0.05+0j" in msg and "psi=" in msg
+
+
+def test_cut_collision_error_names_node(monkeypatch):
+    monkeypatch.setattr(contour, "fc_cut_distance",
+                        lambda params, lam, u: np.where(np.arange(len(u)) == 7, 0.0, 1.0))
+    with pytest.raises(CutCollisionError) as err:
+        build_keyhole(1.0, Coupling(lam=0.05, p=2))
+    msg = str(err.value)
+    assert "lies on a cut ray for p=2, lam=0.05+0j" in msg
+    assert "clearance 0.000e+00" in msg
