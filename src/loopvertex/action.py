@@ -287,35 +287,6 @@ def action_gradient(
     return (v * g_diag[None, :]) @ v.conj().T
 
 
-def branch_continuity_report(
-    c: Coupling, s_k: SpectralData, n_steps: int = 8
-) -> dict:
-    """Follow each log term from the real-lambda anchor along the arg arc.
-
-    Reports (never resolves) any principal-log jump larger than pi/2
-    between adjacent steps, which would signal a branch winding.
-    """
-    lam = complex(c.lam)
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
-    if lam == 0 or lam.imag == 0 and lam.real > 0:
-        return {"max_jump": 0.0, "windings": 0}
-    args = np.linspace(0.0, np.angle(lam), n_steps + 1)
-    prev = None
-    max_jump = 0.0
-    windings = 0
-    for a in args:
-        ci = Coupling(abs(lam) * np.exp(1j * a), c.epsilon, c.eta, c.p)
-        md = map_derivatives(ci, kappa)
-        cur = _log_ratio_matrix(kappa, md["h"], md["hp"])
-        if prev is not None:
-            jump = float(np.max(np.abs((cur - prev).imag)))
-            max_jump = max(max_jump, jump)
-            if jump > np.pi / 2:
-                windings += 1
-        prev = cur
-    return {"max_jump": max_jump, "windings": windings}
-
-
 def jacobian_pair_scan(p: int, lam: float, s_i, s_j) -> dict:
     """Vectorized positivity factors for eigenvalue pairs at real lam > 0.
 

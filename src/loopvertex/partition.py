@@ -13,9 +13,12 @@ matrix, for beta = 1 de Bruijn's identity gives a Pfaffian of ordered
 pair integrals.  The line is the real axis (zeta = 0) unless the
 coupling needs it rotated: Re(lam) < 0 for the direct weight, a cut ray
 of the scalar maps near the real axis for the change of variables.
-Composite Gauss-Legendre panels double until the ratio settles.  Larger
-N at real lam >= 0 uses Monte Carlo.  Exact Gaussian moments by Wick
-pairing enumeration provide the perturbative anchor.
+Composite 16-node Gauss-Legendre panels double until the ratio settles;
+the rule and its spectral integration matrix (the running integral of
+each panel's interpolant at its nodes) are built once at import, so a
+panel integral is one matrix product.  Larger N at real lam >= 0 uses
+Monte Carlo.  Exact Gaussian moments by Wick pairing enumeration
+provide the perturbative anchor.
 """
 
 from __future__ import annotations
@@ -42,6 +45,16 @@ HALF_WIDTH_SIGMAS = 8.5
 TILT_MARGIN = 0.15
 #: largest allowed |2 zeta| below pi/2, keeping Gaussian decay on the line
 MAX_DOUBLE_ANGLE = np.pi / 2 - 0.3
+
+#: panel rule of the determinantal engine: Gauss-Legendre on [-1, 1]
+GL_ORDER = 16
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+#: spectral integration matrix, _GL_S[j, k] = integral from -1 to _GL_X[j]
+#: of the k-th Lagrange basis polynomial on the nodes: node values to
+#: Legendre coefficients, then each P_n's antiderivative at the nodes
+_GL_S = np.polynomial.legendre.legval(
+    _GL_X, np.polynomial.legendre.legint(np.eye(GL_ORDER), lbnd=-1)
+).T @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GL_ORDER - 1))
 
 MC_MAX_REL_SE = 0.10
 MC_DEFAULT_SAMPLES = 20000
@@ -123,42 +136,27 @@ def _doubling(
     )
 
 
-def _panel_antiderivatives(g: int, fvals: np.ndarray, half_width: float):
-    """Per-panel antiderivatives of functions sampled on mapped GL nodes.
-
-    fvals has shape (K, P, g): K functions on P panels of g Gauss-Legendre
-    nodes each.  Returns (partials, totals): the running integral from the
-    panel's left edge at every node, and the full panel integrals, both
-    exact for the degree g-1 interpolants.
-    """
-    k_fn, p_pan, _ = fvals.shape
-    xg, _ = np.polynomial.legendre.leggauss(g)
-    flat = fvals.reshape(k_fn * p_pan, g).T  # (g, K*P)
-    coef = np.polynomial.legendre.legfit(xg, flat, g - 1)
-    coef_int = np.polynomial.legendre.legint(coef, axis=0)
-    at_nodes = np.polynomial.legendre.legval(xg, coef_int)  # (K*P, g)
-    at_left = np.polynomial.legendre.legval(-1.0, coef_int)  # (K*P,)
-    at_right = np.polynomial.legendre.legval(1.0, coef_int)
-    partials = (at_nodes - at_left[:, None]) * half_width
-    totals = (at_right - at_left) * half_width
-    return partials.reshape(k_fn, p_pan, g), totals.reshape(k_fn, p_pan)
+def _panel_layout(half: float, n_panels: int):
+    """Nodes, weights (both (P, GL_ORDER)) and half-width of P equal panels."""
+    edges = np.linspace(-half, half, n_panels + 1)
+    hw = 0.5 * (edges[1] - edges[0])
+    nodes = (edges[:-1, None] + hw) + hw * _GL_X
+    return nodes, np.broadcast_to(hw * _GL_W, nodes.shape), hw
 
 
-def _moment_blocks(phi, big_n: int, half: float, n_panels: int, g: int = 16):
+def _moment_blocks(phi, big_n: int, half: float, n_panels: int):
     """1-D and ordered-pair integrals of a function family on [-half, half].
 
     phi(t) returns shape (K, len(t)) with K = big_n function values.
     Returns (m, M): m_i = integral of phi_i, and the antisymmetric
     M_ij = integral over x < y of phi_i(x) phi_j(y) - phi_j(x) phi_i(y),
-    both to spectral accuracy via per-panel antiderivatives.
+    both to spectral accuracy: _GL_S gives the running integral of each
+    panel's interpolant at its own nodes.
     """
-    edges = np.linspace(-half, half, n_panels + 1)
-    hw = 0.5 * (edges[1] - edges[0])
-    xg, wg = np.polynomial.legendre.leggauss(g)
-    nodes = (edges[:-1, None] + hw) + hw * xg[None, :]  # (P, g)
-    weights = hw * np.broadcast_to(wg, nodes.shape)
-    fvals = phi(nodes.ravel()).reshape(big_n, n_panels, g)
-    partials, totals = _panel_antiderivatives(g, fvals, hw)
+    nodes, weights, hw = _panel_layout(half, n_panels)
+    fvals = phi(nodes.ravel()).reshape(big_n, n_panels, GL_ORDER)
+    partials = hw * (fvals @ _GL_S.T)
+    totals = hw * (fvals @ _GL_W)
     prefix = np.concatenate(
         [np.zeros((big_n, 1), dtype=complex), np.cumsum(totals, axis=1)[:, :-1]],
         axis=1,
@@ -190,19 +188,15 @@ def _ordered_value(phi, big_n: int, half: float, n_panels: int) -> complex:
     )
 
 
-def _hankel_value(pair_fn, big_n: int, half: float, n_panels: int, g: int = 16) -> complex:
+def _hankel_value(pair_fn, big_n: int, half: float, n_panels: int) -> complex:
     """det of the Gram matrix G_ij = integral f_i f_j w for beta = 2 cubes.
 
     pair_fn(t) returns (vals, weight) with vals shape (N, len(t)); the
     Gram entries are 1-D integrals, so the N-fold cube collapses.
     """
-    edges = np.linspace(-half, half, n_panels + 1)
-    hw = 0.5 * (edges[1] - edges[0])
-    xg, wg = np.polynomial.legendre.leggauss(g)
-    nodes = ((edges[:-1, None] + hw) + hw * xg[None, :]).ravel()
-    weights = (hw * np.broadcast_to(wg, (n_panels, g))).ravel()
-    vals, w_site = pair_fn(nodes)
-    gram = np.einsum("q,iq,jq->ij", weights * w_site, vals, vals)
+    nodes, weights, _ = _panel_layout(half, n_panels)
+    vals, w_site = pair_fn(nodes.ravel())
+    gram = np.einsum("q,iq,jq->ij", weights.ravel() * w_site, vals, vals)
     if big_n == 1:
         return complex(gram[0, 0])
     return complex(np.linalg.det(gram))
@@ -238,7 +232,7 @@ def _line_estimate(
     value, gap, n_panels = _doubling(
         eval_at, PANELS_START, PANELS_CAP, stage, c, spec
     )
-    return PartitionEstimate(value, "quadrature", gap, 16 * n_panels)
+    return PartitionEstimate(value, "quadrature", gap, GL_ORDER * n_panels)
 
 
 # ---------------------------------------------------------------------------

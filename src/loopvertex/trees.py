@@ -261,27 +261,31 @@ def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
     return x / s, w / s
 
 
-def _action_log_tables(c: Coupling, beta: int, mu: np.ndarray):
+def _action_log_tables(beta: int, mu: np.ndarray, md: dict):
     """(e1, e2) grid tables of the effective action on real nodes.
 
-    S for a spectrum drawn from the grid decomposes as sum_k log h'(mu_k)
-    plus beta * sum_{k<l} log[(h(mu_k) - h(mu_l))/(mu_k - mu_l)], which
-    is exactly the (e1, e2) split summed over the tensor grid.
+    md is map_derivatives at the nodes.  S for a spectrum drawn from the
+    grid decomposes as sum_k log h'(mu_k) plus
+    beta * sum_{k<l} log[(h(mu_k) - h(mu_l))/(mu_k - mu_l)], which is
+    exactly the (e1, e2) split summed over the tensor grid.
     """
-    md = map_derivatives(c, mu.astype(complex))
     # diagonal entries are the limit h'; the grid density vanishes there
     ratio = divided_difference(mu, md["h"], md["hp"])
     return np.log(md["hp"]), beta * np.log(ratio)
 
 
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
-    """(E[S], E[S1]) over the Gaussian ensemble by tensor-grid quadrature."""
+    """(E[S], E[S1]) over the Gaussian ensemble by tensor-grid quadrature.
+
+    Each grid level is evaluated once; the accepted level's pair is kept.
+    """
     big_n = spec.N
+    pairs = {}
 
     def eval_at(m):
         mu, w = _hermite_rule(m, big_n)
-        e1, e2 = _action_log_tables(c, spec.beta, mu)
         md = map_derivatives(c, mu.astype(complex))
+        e1, e2 = _action_log_tables(spec.beta, mu, md)
         e1_s1 = 0.5 * big_n * md["logt"]
         with np.errstate(divide="ignore"):
             logw = np.clip(np.log(w), LOG_FLOOR, None)
@@ -306,18 +310,16 @@ def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
         with np.errstate(under="ignore"):
             rho = np.exp(base)
             den = np.sum(rho)
-            return complex(np.sum(rho * s_val) / den), complex(
-                np.sum(rho * s1_val) / den
+            pairs[m] = (
+                complex(np.sum(rho * s_val) / den),
+                complex(np.sum(rho * s1_val) / den),
             )
-
-    def scalar_eval(m):
-        return eval_at(m)[0]
+        return pairs[m][0]
 
     value, gap, m = _doubling(
-        scalar_eval, GH_START_NODES, GH_NODE_CAP[big_n], "mean-action grid", c, spec
+        eval_at, GH_START_NODES, GH_NODE_CAP[big_n], "mean-action grid", c, spec
     )
-    s1 = eval_at(m)[1]
-    return value, s1, gap, m**big_n
+    return value, pairs[m][1], gap, m**big_n
 
 
 def single_vertex_amplitude(

@@ -10,7 +10,6 @@ from loopvertex.action import (
     action_gradient,
     action_gradient_eigenvalues,
     action_split,
-    branch_continuity_report,
     corner_operator,
     divided_difference,
     jacobian_check,
@@ -202,14 +201,6 @@ def test_gradient_zero_coupling_and_scalar():
     md = map_derivatives(c, np.array([0.4 + 0j]))
     g = action_gradient(c, EnsembleSpec(N=1, beta=2), s1)
     assert g[0, 0] == pytest.approx(md["hpp"][0] / md["hp"][0], rel=1e-10)
-
-
-def test_branch_continuity_report():
-    c = Coupling(lam=0.05 * np.exp(1j * (np.pi - 0.5)), p=2)
-    s = eigh(np.diag([0.4, -0.3]))
-    rep = branch_continuity_report(c, s)
-    assert rep["max_jump"] < np.pi / 2
-    assert rep["windings"] == 0
 
 
 def test_jacobian_check_positive():

@@ -144,6 +144,50 @@ def test_z_direct_against_hermite_tensor_sum():
         assert est.value == pytest.approx(ref, rel=1e-10), p
 
 
+def test_panel_rule_and_integration_matrix():
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert partition.GL_ORDER == 16
+    assert np.array_equal(partition._GL_X, x)
+    assert np.array_equal(partition._GL_W, w)
+    s = partition._GL_S
+    assert s.shape == (16, 16)
+    # S integrates every degree-15 polynomial from -1 to each node
+    for k in range(16):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(s @ x**k - exact)) <= 1e-14, k
+    # integrals over [-1, x_j] and the mirrored [x_j, 1] add up to the
+    # weights: integral_{-1}^{1} l_k = w_k
+    assert np.max(np.abs(s + s[::-1, ::-1] - w)) <= 1e-15
+
+
+# (p, beta, N, |lam|, arg lam / pi, z_direct, z_lvr) from the former
+# legfit/legint/legval panel integrals; beta = 1, N >= 2 is the Pfaffian
+# path, arg 0 the real line, the rest rotated lines
+_Z_PINNED = [
+    (2, 1, 2, 0.1, 0.0, 0.8877973530465473 + 0j, 0.8877973530465468 + 0j),
+    (2, 1, 3, 0.1, 0.0, 0.8164895016965388 + 0j, 0.8164895016965379 + 0j),
+    (2, 1, 2, 0.1, 0.75, 1.0744544902799729 - 0.14889909699741083j,
+     1.0744544902799742 - 0.14889909699741127j),
+    (2, 1, 3, 0.1, 0.75, 1.130121947452236 - 0.25161834754711826j,
+     1.1301219474522328 - 0.2516183475471207j),
+    (2, 2, 2, 0.1, 0.0, 0.8336197815989318 + 0j, 0.8336197815989312 + 0j),
+    (2, 2, 3, 0.1, 0.75, 1.1693510310004755 - 0.5803984919943375j,
+     1.1693510310004702 - 0.5803984919943199j),
+    (3, 1, 3, 0.02, -0.75, 1.034019594060766 + 0.049778382562002677j,
+     1.0340195940607657 + 0.04977838256200252j),
+    (3, 2, 2, 0.02, 0.0, 0.9419478686664093 + 0j, 0.9419478686664088 + 0j),
+]
+
+
+@pytest.mark.parametrize("p, beta, n, mod, turn, direct, lvr", _Z_PINNED)
+def test_z_quadrature_values_pinned(p, beta, n, mod, turn, direct, lvr):
+    c = Coupling(lam=mod * np.exp(1j * np.pi * turn), p=p)
+    spec = EnsembleSpec(N=n, beta=beta)
+    for est, ref in ((z_direct(c, spec), direct), (z_lvr(c, spec), lvr)):
+        assert abs(est.value - ref) <= 1e-12 * abs(ref)
+        assert est.n_points == partition.GL_ORDER * 32
+
+
 def test_stall_error_names_stage_input_and_gap(monkeypatch):
     c = Coupling(lam=0.1, p=3)
     spec = EnsembleSpec(N=2, beta=1)

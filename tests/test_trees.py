@@ -4,6 +4,7 @@ import pytest
 from loopvertex.errors import BudgetExceededError, OutOfRangeError
 from loopvertex.matrixcore import EnsembleSpec
 from loopvertex.partition import gaussian_moment_exact
+from loopvertex import trees
 from loopvertex.scalarmaps import Coupling
 from loopvertex.trees import (
     LabeledTree,
@@ -98,6 +99,27 @@ def test_single_vertex_quadrature_value():
     a = single_vertex_amplitude(Coupling(lam=0.005, p=2), spec, 100)
     assert a.value.real == pytest.approx(-0.0027815360, abs=1e-8)
     assert a.stderr <= 1e-10
+
+
+def test_single_vertex_grid_levels_visited_once(monkeypatch):
+    visited = []
+    rule = trees._hermite_rule
+
+    def spy(n_nodes, big_n):
+        visited.append(n_nodes)
+        return rule(n_nodes, big_n)
+
+    monkeypatch.setattr(trees, "_hermite_rule", spy)
+    a = single_vertex_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), 0)
+    assert visited == [64, 128]
+    # the values the grid gave when the accepted level was evaluated twice
+    pinned = [
+        ("-0x1.a1be15fc168c9p-6", "-0x1.0e49e1522f6e1p-209"),
+        ("-0x1.7c17899f7576fp-7", "-0x1.99b5ffe92274bp-210"),
+        ("-0x1.c764a258b7a23p-7", "-0x1.05bb857678ceep-211"),
+    ]
+    for v, (re, im) in zip((a.value, a.a1, a.a2), pinned):
+        assert (v.real.hex(), v.imag.hex()) == (re, im)
 
 
 @pytest.mark.parametrize("p", [2, 3])
