@@ -112,7 +112,7 @@ def test_single_vertex_grid_levels_visited_once(monkeypatch):
     monkeypatch.setattr(trees, "_hermite_rule", spy)
     a = single_vertex_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), 0)
     assert visited == [64, 128]
-    # the values the grid gave when the accepted level was evaluated twice
+    # one evaluation per level leaves A, A1 and A2 bitwise unchanged
     pinned = [
         ("-0x1.a1be15fc168c9p-6", "-0x1.0e49e1522f6e1p-209"),
         ("-0x1.7c17899f7576fp-7", "-0x1.99b5ffe92274bp-210"),
