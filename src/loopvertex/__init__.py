@@ -17,6 +17,7 @@ from .action import (
     action_S,
     action_split,
     action_gradient,
+    action_hessian,
     resolvent_entries,
     sigma_contour,
     jacobian_check,
@@ -60,6 +61,7 @@ __all__ = [
     "action_S",
     "action_split",
     "action_gradient",
+    "action_hessian",
     "resolvent_entries",
     "sigma_contour",
     "jacobian_check",

@@ -20,8 +20,11 @@ values and derivatives to the (..., N, N) ratio matrix and takes the
 derivative limit wherever two points lie closer than COINCIDENCE_TOL.
 The action, Sigma, the resolvent, the gradient, the tree amplitudes and
 the Monte Carlo integrands all go through it.  The resolvent, corner
-and gradient functions are batch-first: they take a SpectralData or a
-(..., N) stack of eigenvalues, and a single spectrum is a batch of one.
+and gradient functions and the action itself are batch-first: they take
+a SpectralData or a (..., N) stack of eigenvalues, and a single spectrum
+is a batch of one.  action_hessian, the derivative of the gradient along
+a matrix direction, builds its second-order quotients from the same
+kernel; the third derivative of h it needs is computed there only.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ COINCIDENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ActionValue:
-    total: complex
-    single_trace_part: complex
-    double_trace_part: complex
+    """S and its split; complex for one spectrum, (...) arrays for a batch."""
+
+    total: complex | np.ndarray
+    single_trace_part: complex | np.ndarray
+    double_trace_part: complex | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,17 @@ def _eigenvalues(s_k) -> np.ndarray:
     return np.asarray(s_k, dtype=complex if np.iscomplexobj(s_k) else float)
 
 
-def _log_ratio_matrix(kappa: np.ndarray, h: np.ndarray, hp: np.ndarray) -> np.ndarray:
-    """log of the divided-difference matrix of h at the eigenvalues kappa."""
+def _log_ratio_pairs(kappa: np.ndarray, h: np.ndarray, hp: np.ndarray) -> np.ndarray:
+    """(..., N(N-1)/2) logs of the divided differences of h over pairs i < j.
+
+    The whole ratio matrix, its diagonal h' included, must keep off the
+    negative real axis, where the log branch is undecided.
+    """
     ratio = divided_difference(kappa, h, hp)
-    on_branch_cut = (ratio.real <= 0) & (
-        np.abs(ratio.imag) <= 1e-12 * (1.0 + np.abs(ratio))
-    )
-    if np.any(on_branch_cut):
+    on_branch_cut = ratio.real <= 0
+    if on_branch_cut.any():  # the |Im| test only once a real part qualifies
+        on_branch_cut &= np.abs(ratio.imag) <= 1e-12 * (1.0 + np.abs(ratio))
+    if on_branch_cut.any():
         at = np.unravel_index(np.argmax(on_branch_cut), on_branch_cut.shape)
         i, j = at[-2:]
         row = kappa[at[:-2]]
@@ -149,19 +158,31 @@ def _log_ratio_matrix(kappa: np.ndarray, h: np.ndarray, hp: np.ndarray) -> np.nd
             f"{complex(row[j]):.6g}) lies on the negative real axis "
             f"(|Im| <= 1e-12 (1 + |ratio|)); the log branch is undecided"
         )
-    return np.log(ratio)
+    iu = np.triu_indices(kappa.shape[-1], k=1)
+    return np.log(ratio[..., iu[0], iu[1]])
 
 
-def action_S(c: Coupling, spec: EnsembleSpec, s_k: SpectralData) -> ActionValue:
-    """Effective action S(lambda, K) from the spectrum of K."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
+def action_S(c: Coupling, spec: EnsembleSpec, s_k) -> ActionValue:
+    """Effective action S(lambda, K) from the spectrum of K.
+
+    Summed as S = sum_i log h'(kappa_i) + beta sum_{i<j} log D_ij, D the
+    divided differences of h, with the log-branch check on every D_ij.
+    Batch-first: s_k is a SpectralData or (..., N) eigenvalues; a single
+    spectrum gives complex parts, a batch (...) arrays of them.
+    """
+    kappa = _eigenvalues(s_k)
     if complex(c.lam) == 0:
-        return ActionValue(0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j)
-    md = map_derivatives(c, kappa)
-    log_m = _log_ratio_matrix(kappa, md["h"], md["hp"])
-    single = (1.0 - spec.beta / 2.0) * np.sum(np.log(md["hp"]))
-    double = (spec.beta / 2.0) * np.sum(log_m)
-    return ActionValue(complex(single + double), complex(single), complex(double))
+        total = log_hp = np.zeros(kappa.shape[:-1], dtype=complex)
+    else:
+        md = map_derivatives(c, kappa)
+        log_hp = np.sum(np.log(md["hp"]), axis=-1)
+        pairs = np.sum(_log_ratio_pairs(kappa, md["h"], md["hp"]), axis=-1)
+        total = log_hp + spec.beta * pairs
+    single = (1.0 - spec.beta / 2.0) * log_hp
+    parts = (total, single, total - single)
+    if kappa.ndim == 1:
+        parts = tuple(complex(v) for v in parts)
+    return ActionValue(*parts)
 
 
 def action_split(c: Coupling, s_k: SpectralData) -> tuple[complex, complex]:
@@ -285,6 +306,79 @@ def action_gradient(
     g_diag = action_gradient_eigenvalues(c, spec, s_k)
     v = s_k.eigenvectors
     return (v * g_diag[None, :]) @ v.conj().T
+
+
+def _h_third(c: Coupling, md: dict) -> np.ndarray:
+    """Third derivative h''' at the points of md = map_derivatives(c, u).
+
+    One more implicit differentiation of z T^p - T + 1 = 0, taken in the
+    form k(h(u)) = u with k(v) = v s(v), s(v)^2 = 1 + lam v^(2p-2) and
+    s(h) = 1/f on the branch of h:  h''' = 3 h''^2/h' - k'''(h) h'^4.
+    Only action_hessian needs it; map_derivatives, which every node of
+    the quadratures and bound suites calls, does not pay for it.
+    """
+    lam, m = complex(c.lam), 2 * c.p - 2
+    v, hp = md["h"], md["hp"]
+    s = 1.0 / md["f"]
+    # derivatives of w = s^2 = 1 + lam v^m, then of s from 2 s s' = w' etc.
+    w1 = lam * m * v ** (m - 1)
+    w2 = lam * m * (m - 1) * v ** (m - 2)
+    w3 = lam * m * (m - 1) * (m - 2) * v ** (m - 3) if m > 2 else 0.0
+    s1 = w1 / (2.0 * s)
+    s2 = (w2 - 2.0 * s1**2) / (2.0 * s)
+    s3 = (w3 - 6.0 * s1 * s2) / (2.0 * s)
+    return 3.0 * md["hpp"] ** 2 / hp - (3.0 * s2 + v * s3) * hp**4
+
+
+def action_hessian(
+    c: Coupling, spec: EnsembleSpec, s_k: SpectralData, x
+) -> np.ndarray:
+    """D G[X]: the derivative of action_gradient at K along the matrix X.
+
+    With K = V diag(kappa) V^H, X~ = V^H X V and g the gradient entries
+    (Daleckii-Krein for the eigenvectors, Lewis-Sendov for a spectral
+    function):
+
+        (D G[X])~_ij = (g_i - g_j) / (kappa_i - kappa_j) X~_ij   (i != j)
+        (D G[X])~_ii = sum_j H_ij X~_jj,   H = d^2 S / d kappa d kappa
+
+    The quotient takes its coincidence limit H_ii - H_ij through the
+    package's one rule.  S = sum_i log h'_i + beta sum_{i<j} log D_ij, so
+    with psi_ij = d log D_ij / d kappa_i (psi_ii = h''/2h'),
+    H_ij = beta d psi_ij / d kappa_j and H_ii = (h''/h')' + beta
+    sum_{j != i} d psi_ij / d kappa_i; both pair derivatives are divided
+    differences with per-index limits h'''/6h' and h'''/3h'.  The result
+    is complex-linear in X, so X need not be Hermitian.  Batch-first:
+    s_k holds (..., N) spectra and x is (..., N, N).
+    """
+    kappa, v = s_k.eigenvalues, s_k.eigenvectors
+    v_adj = np.swapaxes(v.conj(), -1, -2)
+    xt = v_adj @ x @ v
+    if complex(c.lam) == 0:
+        return np.zeros(xt.shape, dtype=complex)
+    md = map_derivatives(c, kappa)
+    hp, hpp = md["hp"], md["hpp"]
+    h3 = _h_third(c, md)
+    beta = spec.beta
+    diag = np.arange(kappa.shape[-1])
+    res = _resolvent_values(kappa, md)
+    psi = _gap_quotient(kappa, res * hp[..., :, None] - 1.0, 0.5 * hpp / hp)
+    psi_t = np.swapaxes(psi, -1, -2)
+    cross = _gap_quotient(kappa, psi - psi_t, h3 / (6.0 * hp)) - psi * psi_t
+    own = _gap_quotient(kappa, hpp[..., :, None] * res - 2.0 * psi, h3 / (3.0 * hp))
+    own = own - psi**2
+    own[..., diag, diag] = 0.0
+    r = hpp / hp
+    hess = beta * cross
+    hess[..., diag, diag] = h3 / hp - r**2 + beta * own.sum(axis=-1)
+    g = r + beta * (psi.sum(axis=-1) - psi[..., diag, diag])
+    # H_ij at kappa_i = kappa_j: beta (h'''/6h' - (h''/2h')^2)
+    pair_limit = beta * (h3 / (6.0 * hp) - 0.25 * r**2)
+    dgt = xt * _gap_quotient(
+        kappa, g[..., :, None] - g[..., None, :], hess[..., diag, diag] - pair_limit
+    )
+    dgt[..., diag, diag] = np.einsum("...ij,...j->...i", hess, xt[..., diag, diag])
+    return v @ dgt @ v_adj
 
 
 def jacobian_pair_scan(p: int, lam: float, s_i, s_j) -> dict:

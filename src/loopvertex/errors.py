@@ -70,11 +70,7 @@ class OutOfRangeError(LoopVertexError):
 
 
 class BudgetExceededError(LoopVertexError):
-    """Requested tree amplitude exceeds the numerical-derivative budget."""
-
-
-class StepInstabilityError(LoopVertexError):
-    """Finite-difference step failed its Richardson consistency check."""
+    """Requested tree amplitude exceeds the supported tree or matrix size."""
 
 
 class ConfigError(LoopVertexError):

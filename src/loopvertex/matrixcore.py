@@ -48,23 +48,36 @@ class SpectralData:
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues[None, :]) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """True when every matrix of the (..., N, N) stack m is Hermitian.
+
+    Each matrix is held to tol times max(1, its Frobenius norm).
+    """
     m = np.asarray(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return bool(np.all(np.abs(m - m.conj().T) <= tol * scale))
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    return bool(np.all(np.abs(m - _adjoint(m)) <= tol * scale[..., None, None]))
 
 
 def eigh(m: np.ndarray) -> SpectralData:
-    """Spectral decomposition with the hermiticity invariant enforced."""
+    """Spectral decomposition with the hermiticity invariant enforced.
+
+    Batch-first: m is a (..., N, N) stack, checked in one vectorized
+    pass and decomposed by one call; the result holds (..., N)
+    eigenvalues and (..., N, N) eigenvectors.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise NonHermitianError("matrix violates the hermiticity invariant")
@@ -110,31 +123,39 @@ def interpolation_factor(x: np.ndarray) -> np.ndarray:
 
     Plain Cholesky when x is strictly positive definite; otherwise an
     eigenvalue square root with negative eigenvalues above -PSD_TOL
-    clipped to zero.
+    clipped to zero.  Batch-first: x is (..., n, n), and one matrix of
+    the stack that is not strictly positive definite sends the whole
+    stack to the eigenvalue square root.
     """
     x = np.asarray(x, dtype=float)
-    w, v = np.linalg.eigh((x + x.T) / 2.0)
+    w, v = np.linalg.eigh((x + np.swapaxes(x, -1, -2)) / 2.0)
     if np.min(w) < -PSD_TOL:
         raise NotPSDError(f"interpolation matrix has eigenvalue {np.min(w)}")
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
-        return v * np.sqrt(np.clip(w, 0.0, None))[None, :]
+        return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def sample_replicas(
     spec: EnsembleSpec, x: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """n correlated replicas with Cov((K_i)_ab, (K_j)_cd) = x_ij * (single cov)."""
+) -> np.ndarray:
+    """n correlated replicas with Cov((K_i)_ab, (K_j)_cd) = x_ij * (single cov).
+
+    Batch-first: x is (..., n, n) and the result is (..., n, N, N), one
+    independent replica family per matrix of the stack.
+    """
     x = np.asarray(x, dtype=float)
-    n_rep = x.shape[0]
-    if x.shape != (n_rep, n_rep):
+    n_rep = x.shape[-1]
+    if x.ndim < 2 or x.shape[-2] != n_rep:
         raise ValueError("x must be square")
-    if not np.allclose(np.diag(x), 1.0, atol=1e-12):
+    if not np.allclose(np.diagonal(x, axis1=-2, axis2=-1), 1.0, atol=1e-12):
         raise ValueError("x must have unit diagonal")
     ell = interpolation_factor(x)
-    g = sample_gaussian_batch(spec, rng, n_rep)
-    return [np.tensordot(ell[i], g, axes=(0, 0)) for i in range(n_rep)]
+    lead = x.shape[:-2]
+    n = spec.N
+    g = sample_gaussian_batch(spec, rng, int(np.prod(lead)) * n_rep)
+    return (ell @ g.reshape(lead + (n_rep, n * n))).reshape(lead + (n_rep, n, n))
 
 
 def vandermonde(eigs, beta: int) -> float:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .action import divided_difference, map_derivatives
+from .action import action_S, map_derivatives
 from .errors import (
     OutOfRangeError,
     QuadratureUnderResolvedError,
@@ -333,12 +333,8 @@ def z_lvr(
     big_n = spec.N
     if method == "monte_carlo":
         def log_integrand(eigs):
-            md = map_derivatives(c, eigs)
-            ratio = divided_difference(eigs, md["h"], md["hp"])
-            iu = np.triu_indices(spec.N, k=1)
-            pair = np.sum(np.log(ratio[..., iu[0], iu[1]]), axis=-1)
-            s = np.sum(np.log(md["hp"]), axis=-1) + spec.beta * pair
-            return s.real  # real lambda: S is real on real spectra
+            # real lambda: S is real on real spectra
+            return action_S(c, spec, eigs).total.real
 
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":

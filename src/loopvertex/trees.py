@@ -6,6 +6,15 @@ interpolated covariance, one action factor per vertex, one derivative
 contraction per tree edge.  Trees are enumerated via Prufer sequences;
 the interpolation weights come from the min-over-path forest rule.
 
+Amplitudes are Monte Carlo averages drawn as arrays: every sample has
+its own weakening vector, bkar_x_matrix turns the batch of vectors into
+a stack of interpolation matrices, sample_replicas draws one replica
+family per matrix, and one eigh (with its hermiticity guard) serves the
+whole replica stack.  A degree-1 vertex carries the action gradient
+G(K); the middle vertex of a 3-path carries the exact directional
+Hessian D G(K)[X] (action.action_hessian), so n <= 3 needs no finite
+differences.
+
 Amplitude normalization under the exp(-N Tr H^2) weight: each edge
 contraction carries the covariance scale 1/(2N), and the overall free
 energy prefactor is N^(-2).
@@ -19,19 +28,20 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .action import (
-    action_gradient,
+    action_S,
     action_gradient_eigenvalues,
-    action_split,
+    action_hessian,
     divided_difference,
     map_derivatives,
 )
 from .errors import (
     BudgetExceededError,
     OutOfRangeError,
-    StepInstabilityError,
+    QuadratureUnderResolvedError,
 )
 from .matrixcore import (
     EnsembleSpec,
+    SpectralData,
     eigh,
     sample_gaussian_batch,
     sample_replicas,
@@ -44,12 +54,10 @@ MAX_TREE_ORDER = 7
 MAX_AMPLITUDE_VERTICES = 3
 MAX_AMPLITUDE_N = 3
 MAX_VERTEX_DEGREE = 2
-DEFAULT_FD_STEP = 1e-4
-#: Richardson halving agreement demanded of the finite-difference Hessian
-FD_CHECK_RTOL = 1e-3
 #: Gauss-Hermite mean-action grid: start nodes and per-dimension caps
+#: (numpy's hermgauss overflows to NaN weights by 400 nodes)
 GH_START_NODES = 64
-GH_NODE_CAP = {1: 512, 2: 256, 3: 128}
+GH_NODE_CAP = {1: 256, 2: 256, 3: 128}
 #: log-density floor standing in for -inf at coincident grid nodes
 LOG_FLOOR = -1e300
 
@@ -75,7 +83,9 @@ class LabeledTree:
 
 @dataclass(frozen=True)
 class WeakeningVector:
-    w: dict[tuple[int, int], float]
+    """Edge weights in [0, 1]: floats, or (...) arrays of one shape for a batch."""
+
+    w: dict[tuple[int, int], float | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -154,36 +164,48 @@ def enumerate_trees(n: int):
         yield prufer_decode(seq, n)
 
 
+def _forest_paths(n: int, edges) -> dict[tuple[int, int], list[int]]:
+    """Indices into edges along the path between each connected pair i < j."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for k, (i, j) in enumerate(edges):
+        adj[i].append((j, k))
+        adj[j].append((i, k))
+    paths = {}
+    components = 0
+    for start in range(1, n + 1):
+        route = {start: []}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u, k in adj[v]:
+                if u not in route:
+                    route[u] = route[v] + [k]
+                    stack.append(u)
+        components += min(route) == start
+        paths.update({(start, u): r for u, r in route.items() if u > start})
+    if len(edges) != n - components:
+        raise ValueError("weakening edges must form a forest")
+    return paths
+
+
 def bkar_x_matrix(t: LabeledTree, w: WeakeningVector) -> np.ndarray:
     """x_ij = min of w over the forest path i to j, 0 if disconnected.
 
     Accepts forests too: only the edges present in w participate, so
     dropping an edge from w disconnects the corresponding pair.
+    Batch-first: each weight is a float or a (...) array of samples, all
+    of one shape; the paths are found once, each entry is a min over its
+    path's weight columns, and x is (..., n, n).
     """
     n = t.n
-    for val in w.w.values():
-        if not 0.0 <= val <= 1.0:
-            raise ValueError("weakening parameters must lie in [0, 1]")
-    x = np.zeros((n, n))
-    np.fill_diagonal(x, 1.0)
-    adj = {v: [] for v in range(1, n + 1)}
-    for (i, j), val in w.w.items():
-        adj[i].append((j, val))
-        adj[j].append((i, val))
-    for start in range(1, n + 1):
-        # widest-path search from start (trivial on a forest)
-        best = {start: np.inf}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, val in adj[v]:
-                cand = min(best[v], val)
-                if cand > best.get(u, -1.0):
-                    best[u] = cand
-                    stack.append(u)
-        for u, val in best.items():
-            if u != start:
-                x[start - 1, u - 1] = val
+    weights = np.moveaxis(np.array(list(w.w.values()), dtype=float), 0, -1)
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):
+        raise ValueError("weakening parameters must lie in [0, 1]")
+    x = np.zeros(weights.shape[:-1] + (n, n))
+    diag = np.arange(n)
+    x[..., diag, diag] = 1.0
+    for (i, j), path in _forest_paths(n, list(w.w)).items():
+        x[..., i - 1, j - 1] = x[..., j - 1, i - 1] = weights[..., path].min(axis=-1)
     return x
 
 
@@ -191,50 +213,11 @@ def bkar_x_matrix(t: LabeledTree, w: WeakeningVector) -> np.ndarray:
 # batched gradient machinery (beta = 2)
 
 
-def _gradient_batch(c: Coupling, k_batch: np.ndarray) -> np.ndarray:
-    """action_gradient for a (B, N, N) Hermitian batch, beta = 2."""
-    eigs, vecs = np.linalg.eigh(k_batch)
-    g = action_gradient_eigenvalues(c, EnsembleSpec(N=eigs.shape[-1], beta=2), eigs)
-    return np.einsum("bik,bk,bjk->bij", vecs, g, vecs.conj())
-
-
-def _directional_gradient_fd(
-    c: Coupling, spec: EnsembleSpec, k: np.ndarray, x: np.ndarray, step: float
-) -> np.ndarray:
-    """d/d eps action_gradient(K + eps X) at eps = 0 for matrix direction X.
-
-    X need not be Hermitian: it is decomposed over the Hermitian basis
-    with complex coefficients and the derivative extended by linearity.
-    """
-    n = k.shape[0]
-    herm_defect = np.max(np.abs(x - x.conj().T))
-    if herm_defect < 1e-13 * (1.0 + np.max(np.abs(x))):
-        xh = (x + x.conj().T) / 2.0
-        gp = action_gradient(c, spec, eigh(k + step * xh))
-        gm = action_gradient(c, spec, eigh(k - step * xh))
-        return (gp - gm) / (2.0 * step)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                basis = [(np.eye(1, n, i).T @ np.eye(1, n, i), x[i, i])]
-            else:
-                b1 = np.zeros((n, n), dtype=complex)
-                b1[i, j] = b1[j, i] = 1.0
-                b2 = np.zeros((n, n), dtype=complex)
-                b2[i, j] = 1j
-                b2[j, i] = -1j
-                basis = [
-                    (b1, 0.5 * (x[i, j] + x[j, i])),
-                    (b2, 0.5j * (x[j, i] - x[i, j])),
-                ]
-            for bmat, coeff in basis:
-                if coeff == 0:
-                    continue
-                gp = action_gradient(c, spec, eigh(k + step * bmat))
-                gm = action_gradient(c, spec, eigh(k - step * bmat))
-                out = out + coeff * (gp - gm) / (2.0 * step)
-    return out
+def _gradient_batch(c: Coupling, s: SpectralData) -> np.ndarray:
+    """action_gradient matrices for a batch of (..., N) beta = 2 spectra."""
+    g = action_gradient_eigenvalues(c, EnsembleSpec(N=s.dim, beta=2), s)
+    v = s.eigenvectors
+    return np.einsum("...ik,...k,...jk->...ij", v, g, v.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +239,13 @@ def _check_budget(spec: EnsembleSpec, t: LabeledTree):
 
 def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against exp(-N mu^2) d mu."""
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    if not np.all(np.isfinite(w)):
+        raise QuadratureUnderResolvedError(
+            f"Gauss-Hermite rule with {n_nodes} nodes (mean-action grid, "
+            f"N={big_n}) has {int(np.sum(~np.isfinite(w)))} non-finite weights"
+        )
     s = np.sqrt(float(big_n))
     return x / s, w / s
 
@@ -353,13 +342,8 @@ def single_vertex_amplitude(
     rng = spawn_streams(seed, 1)[0]
     k_batch = sample_gaussian_batch(spec, rng, n_mc)
     eigs = np.linalg.eigvalsh(k_batch)
-    md = map_derivatives(c, eigs)
-    ratio = divided_difference(eigs, md["h"], md["hp"])
-    iu = np.triu_indices(spec.N, k=1)
-    s_vals = np.sum(np.log(md["hp"]), axis=1) + spec.beta * np.sum(
-        np.log(ratio[:, iu[0], iu[1]]), axis=1
-    )
-    s1_vals = 0.5 * spec.N * np.sum(md["logt"], axis=1)
+    s_vals = action_S(c, spec, eigs).total
+    s1_vals = 0.5 * spec.N * np.sum(map_derivatives(c, eigs)["logt"], axis=1)
     value = pref * np.mean(s_vals)
     stderr = pref * float(np.std(s_vals.real) / np.sqrt(n_mc))
     return AmplitudeEstimate(
@@ -381,99 +365,85 @@ def tree_amplitude(
 ) -> AmplitudeEstimate:
     """Monte Carlo estimate of one tree amplitude.
 
-    Degree-1 vertices use the analytic action gradient; the degree-2
-    vertex of a 3-path uses a central finite difference of the gradient
-    (directional Hessian) with a Richardson step check.
+    params: n_w and n_mc (their product is the sample count; every
+    sample draws its own weakening vector) and seed.  Degree-1 vertices
+    carry the analytic action gradient, the degree-2 vertex of a 3-path
+    the exact directional Hessian (action_hessian).  All samples are
+    drawn as arrays, in chunks of _BATCH_CHUNK.
     """
     _check_budget(spec, t)
     params = dict(params or {})
     n_w = int(params.get("n_w", 64))
     n_mc = int(params.get("n_mc", 64))
-    fd_step = float(params.get("fd_step", DEFAULT_FD_STEP))
     seed = int(params.get("seed", 0))
 
     if t.n == 1:
         return single_vertex_amplitude(c, spec, n_w * n_mc, seed=seed)
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, n_w, n_mc, t)
+    rng = spawn_streams(seed, 1)[0]
     if t.n == 2:
-        return _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed)
-    return _three_vertex_amplitude(c, spec, t, n_w, n_mc, fd_step, seed)
+        pref = 1.0 / (spec.N**2 * 2 * spec.N)
+        mean, stderr = _sample_mean(
+            lambda m: _two_vertex_values(c, spec, rng, m), n_w * n_mc
+        )
+    else:
+        pref = 1.0 / (spec.N**2 * (2 * spec.N) ** 2)
+        mean, stderr = _sample_mean(
+            lambda m: _three_vertex_values(c, spec, t, rng, m), n_w * n_mc
+        )
+    return AmplitudeEstimate(pref * mean, pref * stderr, n_w, n_mc, t)
 
 
 _BATCH_CHUNK = 65536
 
 
-def _two_vertex_amplitude(c, spec, t, n_w, n_mc, seed):
-    """Vectorized n = 2 amplitude: prefactor * E_w E_K[Tr(G(K1) G(K2))].
+def _sample_mean(draw, count: int) -> tuple[complex, float]:
+    """Mean and standard error of count i.i.d. values, drawn in chunks.
 
-    Every sample draws its own uniform w, so the (w, replica) samples are
-    jointly i.i.d. and the pooled standard error is unbiased.
+    draw(m) returns m values; every value comes with its own uniform w,
+    so the (w, replica) samples are jointly i.i.d. and the pooled
+    standard error is unbiased.
     """
-    pref = 1.0 / (spec.N**2 * 2 * spec.N)
-    rng = spawn_streams(seed, 1)[0]
-    left = n_w * n_mc
-    count = 0
     acc = 0.0 + 0.0j
     acc2 = 0.0
+    left = count
     while left > 0:
         m = min(left, _BATCH_CHUNK)
         left -= m
-        w = rng.uniform(size=m)[:, None, None]
-        g = sample_gaussian_batch(spec, rng, 2 * m)
-        g1, g2 = g[:m], g[m:]
-        k1 = g1
-        k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
-        grad1 = _gradient_batch(c, k1)
-        grad2 = _gradient_batch(c, k2)
-        vals = np.einsum("bij,bji->b", grad1, grad2)
+        vals = draw(m)
         acc += vals.sum()
         acc2 += float(np.sum(np.abs(vals) ** 2))
-        count += m
     mean = acc / count
     var = max(acc2 / count - abs(mean) ** 2, 0.0)
-    stderr = float(np.sqrt(var / count))
-    return AmplitudeEstimate(
-        pref * complex(mean), pref * stderr, n_w, n_mc, t
-    )
+    return complex(mean), float(np.sqrt(var / count))
 
 
-def _three_vertex_amplitude(c, spec, t, n_w, n_mc, fd_step, seed):
-    """n = 3 path amplitude with an FD directional Hessian at the middle."""
+def _two_vertex_values(c, spec, rng, m) -> np.ndarray:
+    """m samples of Tr(G(K1) G(K2)), K2 = w K1 + sqrt(1 - w^2) K'."""
+    w = rng.uniform(size=m)[:, None, None]
+    g = sample_gaussian_batch(spec, rng, 2 * m)
+    g1, g2 = g[:m], g[m:]
+    k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
+    grad1 = _gradient_batch(c, eigh(g1))
+    grad2 = _gradient_batch(c, eigh(k2))
+    return np.einsum("bij,bji->b", grad1, grad2)
+
+
+def _three_vertex_values(c, spec, t, rng, m) -> np.ndarray:
+    """m samples of Tr(G(K_a) D G(K_mid)[G(K_b)]) on the 3-path a - mid - b."""
     degrees = t.degrees()
-    middle = next(v for v, d in degrees.items() if d == 2)
-    outer = [v for v in degrees if v != middle]
-    pref = 1.0 / (spec.N**2 * (2 * spec.N) ** 2)
-    rng = spawn_streams(seed, 1)[0]
-    vals = np.empty(n_w * n_mc, dtype=complex)
-    checked = False
-    for s in range(n_w * n_mc):
-        # fresh uniform w per sample keeps all samples jointly i.i.d.
-        wvec = WeakeningVector({e: float(rng.uniform()) for e in t.edges})
-        x = bkar_x_matrix(t, wvec)
-        ks = sample_replicas(spec, x, rng)
-        k = {v: ks[v - 1] for v in degrees}
-        g_a = action_gradient(c, spec, eigh(k[outer[0]]))
-        g_b = action_gradient(c, spec, eigh(k[outer[1]]))
-        dg = _directional_gradient_fd(c, spec, k[middle], g_b, fd_step)
-        if not checked:
-            dg_half = _directional_gradient_fd(
-                c, spec, k[middle], g_b, fd_step / 2.0
-            )
-            defect = np.max(np.abs(dg - dg_half))
-            scale = max(np.max(np.abs(dg_half)), 1e-12)
-            if defect > max(FD_CHECK_RTOL * scale, 1e-9):
-                raise StepInstabilityError(
-                    f"Richardson check failed: step {fd_step}, defect {defect}"
-                )
-            checked = True
-        vals[s] = np.einsum("ij,ji->", g_a, dg)
-    vals = pref * vals
-    mean = complex(np.mean(vals))
-    stderr = float(
-        np.sqrt(np.var(vals.real) + np.var(vals.imag)) / np.sqrt(len(vals))
+    mid = next(v for v, d in degrees.items() if d == 2) - 1
+    outer = [v - 1 for v in degrees if v - 1 != mid]
+    w = rng.uniform(size=(len(t.edges), m))
+    x = bkar_x_matrix(t, WeakeningVector(dict(zip(t.edges, w))))
+    s = eigh(sample_replicas(spec, x, rng))  # (m, 3, N) spectra
+    grads = _gradient_batch(
+        c, SpectralData(s.eigenvalues[:, outer], s.eigenvectors[:, outer])
     )
-    return AmplitudeEstimate(mean, stderr, n_w, n_mc, t)
+    s_mid = SpectralData(s.eigenvalues[:, mid], s.eigenvectors[:, mid])
+    dg = action_hessian(c, spec, s_mid, grads[:, 1])
+    return np.einsum("bij,bji->b", grads[:, 0], dg)
 
 
 def lve_truncated_F(

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from loopvertex.action import (
     COINCIDENCE_TOL,
-    _log_ratio_matrix,
+    _h_third,
+    _log_ratio_pairs,
     action_S,
     action_gradient,
     action_gradient_eigenvalues,
+    action_hessian,
     action_split,
     corner_operator,
     divided_difference,
@@ -285,7 +287,7 @@ def test_log_branch_error_names_pair_and_ratio():
     kappa = np.array([0.0, 1.0, 2.0]) + 0j
     h = np.array([0.0, -1.0, 2.0]) + 0j  # (h_0 - h_1)/(k_0 - k_1) = -1
     with pytest.raises(LogBranchAmbiguityError) as err:
-        _log_ratio_matrix(kappa, h, np.ones(3, dtype=complex))
+        _log_ratio_pairs(kappa, h, np.ones(3, dtype=complex))
     msg = str(err.value)
     assert "action log-ratio" in msg
     assert "pair (0, 1)" in msg and "(0+0j, 1+0j)" in msg
@@ -300,3 +302,96 @@ def test_gradient_eigenvalues_batch_first():
     for b, row in enumerate(eigs):
         single = action_gradient_eigenvalues(c, spec, eigh(np.diag(row)))
         assert np.array_equal(got[b], single)
+
+
+def test_action_S_batch_first():
+    c = Coupling(lam=0.05 * np.exp(0.8j), p=3)
+    eigs = np.sort(np.random.default_rng(5).uniform(-1, 1, (4, 3)), axis=1)
+    for beta in (1, 2):
+        spec = EnsembleSpec(N=3, beta=beta)
+        got = action_S(c, spec, eigs)
+        assert got.total.shape == (4,)
+        for b, row in enumerate(eigs):
+            single = action_S(c, spec, eigh(np.diag(row)))
+            assert got.total[b] == single.total
+            assert got.single_trace_part[b] == single.single_trace_part
+    # the log-branch check reaches every spectrum of a batch
+    kappa = np.array([[0.1, 0.2, 0.3], [0.0, 1.0, 2.0]])
+    h = np.array([[0.1, 0.2, 0.3], [0.0, -1.0, 2.0]]) + 0j
+    with pytest.raises(LogBranchAmbiguityError, match=r"pair \(0, 1\)"):
+        _log_ratio_pairs(kappa, h, np.ones((2, 3), dtype=complex))
+
+
+def _central_difference_hessian(c, spec, k, x, step=1e-5):
+    """d/d eps action_gradient(K + eps X), X split into Hermitian parts."""
+    out = 0.0
+    for coeff, d in ((1.0, (x + x.conj().T) / 2), (1j, (x - x.conj().T) / 2j)):
+        gp = action_gradient(c, spec, eigh(k + step * d))
+        gm = action_gradient(c, spec, eigh(k - step * d))
+        out = out + coeff * (gp - gm) / (2 * step)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    n=st.sampled_from([2, 3]),
+    mod=st.floats(1e-3, 0.2),
+    arg=st.one_of(st.just(0.0), st.floats(-(np.pi - 0.3), np.pi - 0.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_action_hessian_matches_central_difference_property(p, n, mod, arg, seed):
+    rng = np.random.default_rng(seed)
+    c = Coupling(lam=mod * np.exp(1j * arg), p=p)
+    spec = EnsembleSpec(N=n, beta=2)
+    k = random_hermitian(n, 2, rng)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    exact = action_hessian(c, spec, eigh(k), x)
+    fd = _central_difference_hessian(c, spec, k, x)
+    assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
+    # batch-first: a stack of the same problem gives the same matrices
+    stack = action_hessian(c, spec, eigh(np.stack([k, k])), np.stack([x, x]))
+    assert np.allclose(stack, exact, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_action_hessian_coincidence_limit_is_continuous(p):
+    # at a repeated eigenvalue the quotients take their per-index limits;
+    # the limit is right when spectra approaching it converge to first order
+    rng = np.random.default_rng(p)
+    c = Coupling(lam=0.1 * np.exp(0.7j), p=p)
+    spec = EnsembleSpec(N=3, beta=2)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    def at_gap(gap):
+        k = q @ np.diag([0.3 + gap, 0.3, -0.5]) @ q.conj().T
+        return action_hessian(c, spec, eigh((k + k.conj().T) / 2), x)
+
+    limit = at_gap(0.0)
+    far, near = (np.linalg.norm(at_gap(g) - limit) for g in (1e-2, 1e-3))
+    assert near <= 0.15 * far and near <= 1e-2 * np.linalg.norm(limit)
+
+
+def test_action_hessian_zero_coupling():
+    s = eigh(np.diag([0.1, 0.7]))
+    x = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    assert np.all(action_hessian(Coupling(lam=0.0, p=2), EnsembleSpec(N=2), s, x) == 0)
+
+
+def test_h_third_matches_mpmath_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+
+    def h(u, lam):  # p = 2: h(u) = u sqrt(T_2(-lam u^2)), T_2(z) = (1 - sqrt(1 - 4z))/2z
+        z = -lam * u**2
+        return u * mpmath.sqrt((1 - mpmath.sqrt(1 - 4 * z)) / (2 * z))
+
+    u = np.array([0.3, -0.8, 1.2, 0.05 + 0.1j])
+    for lam in (0.1, 0.07 * np.exp(1.1j), 0.15 * np.exp(-2.5j)):
+        c = Coupling(lam=lam, p=2)
+        got = _h_third(c, map_derivatives(c, u))
+        with mpmath.workdps(40):
+            for ui, gi in zip(u, got):
+                lam_mp = mpmath.mpc(lam)
+                ref = complex(mpmath.diff(lambda v: h(v, lam_mp), mpmath.mpc(ui), 3))
+                assert abs(gi - ref) <= 1e-10 * abs(ref), (lam, ui, gi, ref)

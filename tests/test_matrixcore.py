@@ -24,6 +24,22 @@ def test_spec_validation():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # batch-first: one bad matrix in a stack fails the whole stack
+    with pytest.raises(NonHermitianError):
+        eigh(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    with pytest.raises(NonHermitianError):
+        eigh(np.ones(3))
+
+
+def test_eigh_batch_matches_single_matrices():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    k = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    s = eigh(k)
+    assert s.eigenvalues.shape == (2, 3, 4) and s.dim == 4
+    assert np.max(np.abs(s.reconstruct() - k)) <= 1e-12
+    single = eigh(k[1, 2])
+    assert np.allclose(s.eigenvalues[1, 2], single.eigenvalues, rtol=0, atol=1e-14)
 
 
 def test_eigh_roundtrip():
@@ -71,6 +87,25 @@ def test_interpolation_factor_and_psd_guard():
     assert np.allclose(ell @ ell.T, x)
     with pytest.raises(NotPSDError):
         interpolation_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # batch-first: the PSD check covers every matrix of a stack, and a
+    # singular member sends the stack to the eigenvalue square root
+    with pytest.raises(NotPSDError):
+        interpolation_factor(np.array([x, [[1.0, 2.0], [2.0, 1.0]]]))
+    stack = np.array([x, np.ones((2, 2))])
+    ell = interpolation_factor(stack)
+    assert np.allclose(ell @ np.swapaxes(ell, -1, -2), stack)
+
+
+def test_sample_replicas_batch_shape_and_stream():
+    spec = EnsembleSpec(N=3, beta=2)
+    x = np.array([[[1.0, 0.3], [0.3, 1.0]]] * 4)
+    ks = sample_replicas(spec, x, np.random.default_rng(2))
+    assert ks.shape == (4, 2, 3, 3)
+    assert np.max(np.abs(ks - np.swapaxes(ks.conj(), -1, -2))) == 0.0
+    # a batch of one draws what the unbatched call draws
+    batch_of_one = sample_replicas(spec, x[:1], np.random.default_rng(2))
+    one = sample_replicas(spec, x[0], np.random.default_rng(2))
+    assert np.array_equal(batch_of_one[0], one)
 
 
 def test_replica_correlations():

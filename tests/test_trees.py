@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from loopvertex.errors import BudgetExceededError, OutOfRangeError
+from loopvertex.errors import (
+    BudgetExceededError,
+    LoopVertexError,
+    OutOfRangeError,
+    QuadratureUnderResolvedError,
+)
 from loopvertex.matrixcore import EnsembleSpec
 from loopvertex.partition import gaussian_moment_exact
 from loopvertex import trees
@@ -81,6 +86,50 @@ def test_bkar_rejects_bad_weights():
     t = LabeledTree(2, ((1, 2),))
     with pytest.raises(ValueError):
         bkar_x_matrix(t, WeakeningVector({(1, 2): 1.5}))
+    with pytest.raises(ValueError):
+        bkar_x_matrix(t, WeakeningVector({(1, 2): np.array([0.5, -0.1])}))
+    triangle = LabeledTree(3, ((1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="forest"):
+        bkar_x_matrix(triangle, WeakeningVector({(1, 2): 0.5, (2, 3): 0.5, (1, 3): 0.5}))
+
+
+def _widest_path_reference(t, w):
+    """Per-vector loop: a widest-path search from every vertex."""
+    x = np.zeros((t.n, t.n))
+    np.fill_diagonal(x, 1.0)
+    adj = {v: [] for v in range(1, t.n + 1)}
+    for (i, j), val in w.w.items():
+        adj[i].append((j, val))
+        adj[j].append((i, val))
+    for start in range(1, t.n + 1):
+        best = {start: np.inf}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u, val in adj[v]:
+                cand = min(best[v], val)
+                if cand > best.get(u, -1.0):
+                    best[u] = cand
+                    stack.append(u)
+        for u, val in best.items():
+            if u != start:
+                x[start - 1, u - 1] = val
+    return x
+
+
+def test_bkar_batch_matches_per_vector_reference_on_criterion_11_grid():
+    rng = np.random.default_rng(8)
+    for n in range(2, 7):
+        for t in enumerate_trees(n):
+            n_w = max(1000 // n ** max(n - 2, 0), 1) + 2
+            cols = rng.uniform(size=(len(t.edges), n_w))
+            batch = bkar_x_matrix(t, WeakeningVector(dict(zip(t.edges, cols))))
+            assert batch.shape == (n_w, n, n)
+            for s in range(n_w):
+                w = WeakeningVector({e: float(col[s]) for e, col in zip(t.edges, cols)})
+                ref = _widest_path_reference(t, w)
+                assert np.array_equal(bkar_x_matrix(t, w), ref)
+                assert np.array_equal(batch[s], ref)
 
 
 def test_zero_coupling_amplitudes_vanish():
@@ -175,6 +224,40 @@ def test_two_vertex_value_pinned_at_fixed_seed():
                          {"n_w": 50, "n_mc": 40, "seed": 13})
     assert est.value.real == pytest.approx(0.00105000186542636, rel=1e-12)
     assert est.stderr == pytest.approx(3.112328130705778e-05, rel=1e-9)
+
+
+def test_three_vertex_seed_reproducibility():
+    spec = EnsembleSpec(N=2, beta=2)
+    c = Coupling(lam=0.01 * np.exp(1.5j), p=3)
+    t = LabeledTree(3, ((1, 3), (2, 3)))
+    a = tree_amplitude(c, spec, t, {"n_w": 30, "n_mc": 5, "seed": 11})
+    b = tree_amplitude(c, spec, t, {"n_w": 30, "n_mc": 5, "seed": 11})
+    assert a.value == b.value and a.stderr == b.stderr
+    other = tree_amplitude(c, spec, t, {"n_w": 30, "n_mc": 5, "seed": 12})
+    assert other.value != a.value
+
+
+def test_three_vertex_value_pinned_at_fixed_seed():
+    # one sampling stream per call, drawn as arrays; this is the value it gives
+    t = LabeledTree(3, ((1, 2), (2, 3)))
+    est = tree_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), t,
+                         {"n_w": 50, "n_mc": 40, "seed": 13})
+    assert est.value.real == pytest.approx(-2.7971564058895962e-05, rel=1e-12)
+    assert est.stderr == pytest.approx(1.3671158840645992e-06, rel=1e-9)
+
+
+def test_hermite_rule_rejects_non_finite_weights():
+    # numpy's hermgauss overflows to NaN weights by 400 nodes
+    with pytest.raises(QuadratureUnderResolvedError, match=r"512 nodes.*N=1"):
+        trees._hermite_rule(512, 1)
+    assert max(trees.GH_NODE_CAP.values()) <= 256
+    c = Coupling(lam=0.1 * np.exp(2.5j), p=3)
+    try:
+        a = single_vertex_amplitude(c, EnsembleSpec(N=1, beta=2), 0)
+    except LoopVertexError as exc:
+        assert "nan" not in str(exc).lower(), str(exc)
+    else:
+        assert np.isfinite(a.value)
 
 
 def test_truncated_sum_matches_free_energy_difference():
