@@ -289,7 +289,7 @@ def single_vertex_scaling_suite(p: int, big_n: int = 2,
     expo_a1 = 1.0 / (2 * p - 2)
     a_tot, a_one = [], []
     for mod in moduli:
-        est = single_vertex_amplitude(Coupling(lam=mod, p=p), spec, 0)
+        est = single_vertex_amplitude(Coupling(lam=mod, p=p), spec)
         a_tot.append(abs(est.value))
         a_one.append(abs(est.a1))
     a_tot = np.asarray(a_tot)

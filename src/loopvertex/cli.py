@@ -25,7 +25,7 @@ from .contour import build_keyhole
 from .errors import ConfigError, LoopVertexError
 from .fusscatalan import FussCatalanParams, fc_eval
 from .matrixcore import EnsembleSpec
-from .partition import z_direct, z_lvr
+from .partition import QUAD_MAX_N, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
 from .trees import lve_truncated_F, single_vertex_amplitude
 
@@ -193,7 +193,7 @@ def _cmd_z_identity(config: RunConfig):
     spec = config.ensemble()
     kwargs = {}
     method = "quadrature"
-    if spec.N > 3:
+    if spec.N > QUAD_MAX_N:
         method = "monte_carlo"
         kwargs = {"n_samples": config.mc_samples, "seed": config.seed}
     direct = z_direct(c, spec, method, **kwargs)
@@ -236,7 +236,7 @@ def _free_energy_estimate(c, spec, method, config):
 def _cmd_free_energy(config: RunConfig):
     c = config.coupling()
     spec = config.ensemble()
-    method = "quadrature" if spec.N <= 3 else "monte_carlo"
+    method = "quadrature" if spec.N <= QUAD_MAX_N else "monte_carlo"
     f, err, est = _free_energy_estimate(c, spec, method, config)
     ok = np.isfinite(f.real) and np.isfinite(f.imag)
     return {
@@ -270,7 +270,7 @@ def _cmd_lve_sum(config: RunConfig):
 def _cmd_single_vertex(config: RunConfig):
     c = config.coupling()
     spec = config.ensemble()
-    est = single_vertex_amplitude(c, spec, config.mc_samples, seed=config.seed)
+    est = single_vertex_amplitude(c, spec)
     ok = np.isfinite(est.stderr)
     return {
         "results": {
@@ -345,10 +345,10 @@ def _cmd_pacman_scan(config: RunConfig):
     rows = []
     abs_f, used_n = [], []
     for big_n in n_values:
-        if complex_lam and big_n > 3:
-            continue  # complex-lambda rows are quadrature-only (N <= 3)
+        if complex_lam and big_n > QUAD_MAX_N:
+            continue  # complex-lambda rows are quadrature-only (N <= QUAD_MAX_N)
         spec = EnsembleSpec(N=big_n, beta=config.beta)
-        method = "quadrature" if big_n <= 3 else "monte_carlo"
+        method = "quadrature" if big_n <= QUAD_MAX_N else "monte_carlo"
         f, err, _ = _free_energy_estimate(c, spec, method, config)
         rows.append([big_n, repr(f.real), repr(f.imag), repr(err), method])
         abs_f.append(abs(f))

@@ -6,14 +6,20 @@ interpolated covariance, one action factor per vertex, one derivative
 contraction per tree edge.  Trees are enumerated via Prufer sequences;
 the interpolation weights come from the min-over-path forest rule.
 
-Amplitudes are Monte Carlo averages drawn as arrays: every sample has
-its own weakening vector, bkar_x_matrix turns the batch of vectors into
-a stack of interpolation matrices, sample_replicas draws one replica
-family per matrix, and one eigh (with its hermiticity guard) serves the
-whole replica stack.  A degree-1 vertex carries the action gradient
-G(K); the middle vertex of a 3-path carries the exact directional
-Hessian D G(K)[X] (action.action_hessian), so n <= 3 needs no finite
-differences.
+The single-vertex amplitude N^(-2) E[S] is exact at every N: S is a sum
+of one- and two-eigenvalue terms, so the GUE densities rho1 = K(x, x)
+and rho2 = K(x, x) K(y, y) - K(x, y)^2 of the Christoffel-Darboux
+(Hermite) kernel K reduce E[S] to a 1-D and a 2-D sum on one
+Gauss-Hermite rule (Mehta, Random Matrices, ch. 6).
+
+Amplitudes of trees with n >= 2 are Monte Carlo averages drawn as
+arrays: every sample has its own weakening vector, bkar_x_matrix turns
+the batch of vectors into a stack of interpolation matrices,
+sample_replicas draws one replica family per matrix, and one eigh (with
+its hermiticity guard) serves the whole replica stack.  A degree-1
+vertex carries the action gradient G(K); the middle vertex of a 3-path
+carries the exact directional Hessian D G(K)[X] (action.action_hessian),
+so n <= 3 needs no finite differences.
 
 Amplitude normalization under the exp(-N Tr H^2) weight: each edge
 contraction carries the covariance scale 1/(2N), and the overall free
@@ -28,10 +34,9 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .action import (
-    action_S,
+    _log_ratio_pairs,
     action_gradient_eigenvalues,
     action_hessian,
-    divided_difference,
     map_derivatives,
 )
 from .errors import (
@@ -54,12 +59,10 @@ MAX_TREE_ORDER = 7
 MAX_AMPLITUDE_VERTICES = 3
 MAX_AMPLITUDE_N = 3
 MAX_VERTEX_DEGREE = 2
-#: Gauss-Hermite mean-action grid: start nodes and per-dimension caps
+#: Gauss-Hermite mean-action rule: start nodes and cap
 #: (numpy's hermgauss overflows to NaN weights by 400 nodes)
 GH_START_NODES = 64
-GH_NODE_CAP = {1: 256, 2: 256, 3: 128}
-#: log-density floor standing in for -inf at coincident grid nodes
-LOG_FLOOR = -1e300
+GH_NODE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -250,74 +253,64 @@ def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
     return x / s, w / s
 
 
-def _action_log_tables(beta: int, mu: np.ndarray, md: dict):
-    """(e1, e2) grid tables of the effective action on real nodes.
+def _hermite_kernel(mu: np.ndarray, w: np.ndarray, big_n: int) -> np.ndarray:
+    """(m, m) Christoffel-Darboux kernel K = Phi^T Phi on the rule's nodes.
 
-    md is map_derivatives at the nodes.  S for a spectrum drawn from the
-    grid decomposes as sum_k log h'(mu_k) plus
-    beta * sum_{k<l} log[(h(mu_k) - h(mu_l))/(mu_k - mu_l)], which is
-    exactly the (e1, e2) split summed over the tensor grid.
+    Row k of Phi is the k-th orthonormal polynomial for exp(-N mu^2)
+    times sqrt(w); the three-term recurrence runs on the scaled rows,
+    which stay bounded like Hermite functions.
     """
-    # diagonal entries are the limit h'; the grid density vanishes there
-    ratio = divided_difference(mu, md["h"], md["hp"])
-    return np.log(md["hp"]), beta * np.log(ratio)
+    rows = [np.zeros_like(mu), (big_n / np.pi) ** 0.25 * np.sqrt(w)]
+    for k in range(big_n - 1):
+        rows.append(
+            np.sqrt(2.0 * big_n / (k + 1)) * mu * rows[-1]
+            - np.sqrt(k / (k + 1)) * rows[-2]
+        )
+    phi = np.array(rows[1:])
+    return phi.T @ phi
 
 
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
-    """(E[S], E[S1]) over the Gaussian ensemble by tensor-grid quadrature.
+    """(E[S], E[S1]) over the Gaussian ensemble from its correlation functions.
 
-    Each grid level is evaluated once; the accepted level's pair is kept.
+    On an m-node Gauss-Hermite rule (exact on the kernel's polynomials
+    once m >= N) the GUE densities are rho1_a = K_aa and
+    rho2_ab = K_aa K_bb - K_ab^2, so E[S] = sum_a rho1_a log h'(mu_a) +
+    beta sum_{a<b} rho2_ab log D_ab.  Each level is evaluated once; the
+    accepted level's pair is kept.
     """
     big_n = spec.N
     pairs = {}
 
     def eval_at(m):
         mu, w = _hermite_rule(m, big_n)
+        kern = _hermite_kernel(mu, w, big_n)
+        rho1 = np.diag(kern)
+        a, b = np.triu_indices(m, k=1)
+        rho2 = rho1[a] * rho1[b] - kern[a, b] ** 2
         md = map_derivatives(c, mu.astype(complex))
-        e1, e2 = _action_log_tables(spec.beta, mu, md)
-        e1_s1 = 0.5 * big_n * md["logt"]
-        with np.errstate(divide="ignore"):
-            logw = np.clip(np.log(w), LOG_FLOOR, None)
-        lv = spec.beta * np.log(np.abs(mu[:, None] - mu[None, :]) + np.eye(m))
-        np.fill_diagonal(lv, LOG_FLOOR)
-
-        def shape(axes):
-            return tuple(m if a in axes else 1 for a in range(big_n))
-
-        base = np.zeros((m,) * big_n)
-        s_val = np.zeros((m,) * big_n, dtype=complex)
-        s1_val = np.zeros((m,) * big_n, dtype=complex)
-        for k in range(big_n):
-            base = base + logw.reshape(shape({k}))
-            s_val = s_val + e1.reshape(shape({k}))
-            s1_val = s1_val + e1_s1.reshape(shape({k}))
-        for k in range(big_n):
-            for l in range(k + 1, big_n):
-                base = base + lv.reshape(shape({k, l}))
-                s_val = s_val + e2.reshape(shape({k, l}))
-        base = np.clip(base, LOG_FLOOR, None)
-        with np.errstate(under="ignore"):
-            rho = np.exp(base)
-            den = np.sum(rho)
-            pairs[m] = (
-                complex(np.sum(rho * s_val) / den),
-                complex(np.sum(rho * s1_val) / den),
-            )
+        log_d = _log_ratio_pairs(mu, md["h"], md["hp"])
+        pairs[m] = (
+            complex(rho1 @ np.log(md["hp"]) + spec.beta * (rho2 @ log_d)),
+            complex(0.5 * big_n * (rho1 @ md["logt"])),
+        )
         return pairs[m][0]
 
     value, gap, m = _doubling(
-        eval_at, GH_START_NODES, GH_NODE_CAP[big_n], "mean-action grid", c, spec
+        eval_at, GH_START_NODES, GH_NODE_CAP, "mean-action grid", c, spec
     )
-    return value, pairs[m][1], gap, m**big_n
+    return value, pairs[m][1], gap, m
 
 
 def single_vertex_amplitude(
-    c: Coupling, spec: EnsembleSpec, n_mc: int, seed: int = 0
+    c: Coupling, spec: EnsembleSpec, n_mc: int = 0
 ) -> AmplitudeEstimate:
     """A for the empty tree: N^(-2) E[S(lambda, K)], with the A1/A2 split.
 
-    Deterministic eigenvalue quadrature for N <= 3; Monte Carlo with the
-    action evaluated per draw otherwise (real lambda only).
+    Deterministic at every N and every coupling: E[S] and E[S1] are one-
+    and two-point sums on a Gauss-Hermite rule (_quadrature_mean_action);
+    stderr is the gap between the last two rule levels and n_mc_samples
+    the accepted node count.  n_mc is ignored.
     """
     tree = LabeledTree(n=1, edges=())
     if spec.beta != 2:
@@ -325,35 +318,15 @@ def single_vertex_amplitude(
     pref = 1.0 / spec.N**2
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, 0, 0, tree, 0.0, 0.0)
-    if spec.N <= MAX_AMPLITUDE_N:
-        mean_s, mean_s1, gap, n_points = _quadrature_mean_action(c, spec)
-        return AmplitudeEstimate(
-            value=pref * mean_s,
-            stderr=pref * gap,
-            n_w_samples=0,
-            n_mc_samples=n_points,
-            tree=tree,
-            a1=pref * mean_s1,
-            a2=pref * (mean_s - mean_s1),
-        )
-    lam = complex(c.lam)
-    if lam.imag != 0 or lam.real < 0:
-        raise OutOfRangeError("MC single-vertex amplitude needs real lambda >= 0")
-    rng = spawn_streams(seed, 1)[0]
-    k_batch = sample_gaussian_batch(spec, rng, n_mc)
-    eigs = np.linalg.eigvalsh(k_batch)
-    s_vals = action_S(c, spec, eigs).total
-    s1_vals = 0.5 * spec.N * np.sum(map_derivatives(c, eigs)["logt"], axis=1)
-    value = pref * np.mean(s_vals)
-    stderr = pref * float(np.std(s_vals.real) / np.sqrt(n_mc))
+    mean_s, mean_s1, gap, n_nodes = _quadrature_mean_action(c, spec)
     return AmplitudeEstimate(
-        value=complex(value),
-        stderr=stderr,
+        value=pref * mean_s,
+        stderr=pref * gap,
         n_w_samples=0,
-        n_mc_samples=n_mc,
+        n_mc_samples=n_nodes,
         tree=tree,
-        a1=complex(pref * np.mean(s1_vals)),
-        a2=complex(pref * np.mean(s_vals - s1_vals)),
+        a1=pref * mean_s1,
+        a2=pref * (mean_s - mean_s1),
     )
 
 
@@ -363,22 +336,21 @@ def tree_amplitude(
     t: LabeledTree,
     params: dict | None = None,
 ) -> AmplitudeEstimate:
-    """Monte Carlo estimate of one tree amplitude.
+    """Estimate of one tree amplitude: exact for n = 1, Monte Carlo above.
 
-    params: n_w and n_mc (their product is the sample count; every
+    params (ignored for n = 1): n_w and n_mc (their product is the sample count; every
     sample draws its own weakening vector) and seed.  Degree-1 vertices
     carry the analytic action gradient, the degree-2 vertex of a 3-path
     the exact directional Hessian (action_hessian).  All samples are
     drawn as arrays, in chunks of _BATCH_CHUNK.
     """
+    if t.n == 1:
+        return single_vertex_amplitude(c, spec)
     _check_budget(spec, t)
     params = dict(params or {})
     n_w = int(params.get("n_w", 64))
     n_mc = int(params.get("n_mc", 64))
     seed = int(params.get("seed", 0))
-
-    if t.n == 1:
-        return single_vertex_amplitude(c, spec, n_w * n_mc, seed=seed)
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, n_w, n_mc, t)
     rng = spawn_streams(seed, 1)[0]
@@ -452,16 +424,25 @@ def lve_truncated_F(
     n_max: int,
     params: dict | None = None,
 ) -> tuple[complex, float]:
-    """Sum over n <= n_max of (1/n!) sum over trees of tree amplitudes."""
+    """Sum over n <= n_max of (1/n!) sum over trees of tree amplitudes.
+
+    Every sampled tree draws from its own seed, so the per-tree errors
+    add as independent: the n = 2 tree keeps params' seed and the 3-paths
+    take the next ones.
+    """
     if not 1 <= n_max <= MAX_AMPLITUDE_VERTICES:
         raise OutOfRangeError(f"n_max must be in [1, {MAX_AMPLITUDE_VERTICES}]")
+    params = params or {}
+    seed = int(params.get("seed", 0))
     total = 0.0 + 0.0j
     var = 0.0
     fact = 1
     for n in range(1, n_max + 1):
         fact *= n
         for tree in enumerate_trees(n):
-            est = tree_amplitude(c, spec, tree, params)
+            est = tree_amplitude(c, spec, tree, {**params, "seed": seed})
+            if n >= 2:
+                seed += 1
             total += est.value / fact
             var += (est.stderr / fact) ** 2
     return total, float(np.sqrt(var))

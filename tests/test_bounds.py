@@ -16,6 +16,7 @@ from loopvertex.bounds import (
     pacman_args,
     _pacman_couplings,
     resolvent_bound_suite,
+    single_vertex_scaling_suite,
 )
 from loopvertex.contour import build_keyhole
 
@@ -169,3 +170,15 @@ def test_keyhole_nodes_pinned(p):
         g = build_keyhole(DEFAULT_SPECTRAL_RADIUS, c)
         got.append(hashlib.sha1(g.nodes.tobytes() + g.dnodes.tobytes()).hexdigest())
     assert got == KEYHOLE_SHA1[p]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_single_vertex_constants_uniform_in_n(p):
+    # the fitted constants of |A_empty| and |A1| settle as N grows
+    base = single_vertex_scaling_suite(p, big_n=2)
+    for big_n in (8, 32):
+        reports = single_vertex_scaling_suite(p, big_n=big_n)
+        for rep, ref in zip(reports, base):
+            assert rep.fitted_constant == pytest.approx(ref.fitted_constant, rel=0.25), (
+                rep.name, big_n, rep.fitted_constant, ref.fitted_constant)
+            assert rep.envelope_exponent_holds(), (rep.name, big_n, rep.exponent_measured)

@@ -124,6 +124,18 @@ def test_single_vertex_output(tmp_path, monkeypatch):
     assert amp["re"] == pytest.approx(-0.0027815360, abs=1e-7)
 
 
+def test_single_vertex_complex_coupling_above_n3(tmp_path, monkeypatch):
+    code = run_cli(
+        ["single-vertex", "--N", "5", "--lambda-modulus", "0.05",
+         "--lambda-arg", "2.5"],
+        tmp_path, monkeypatch,
+    )
+    assert code == 0
+    doc = load_json(tmp_path, "single-vertex")
+    assert doc["results"]["stderr"] <= 1e-10
+    assert doc["results"]["n_mc_samples"] in (128, 256)
+
+
 def test_output_flag_overrides_env(tmp_path, monkeypatch):
     out = tmp_path / "sub"
     monkeypatch.setenv("LOOPVERTEX_OUTDIR", str(tmp_path))

@@ -7,7 +7,8 @@ from loopvertex.errors import (
     OutOfRangeError,
     QuadratureUnderResolvedError,
 )
-from loopvertex.matrixcore import EnsembleSpec
+from loopvertex.action import action_S
+from loopvertex.matrixcore import EnsembleSpec, sample_gaussian_batch
 from loopvertex.partition import gaussian_moment_exact
 from loopvertex import trees
 from loopvertex.scalarmaps import Coupling
@@ -161,18 +162,79 @@ def test_single_vertex_grid_levels_visited_once(monkeypatch):
     monkeypatch.setattr(trees, "_hermite_rule", spy)
     a = single_vertex_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), 0)
     assert visited == [64, 128]
-    # one evaluation per level leaves A, A1 and A2 bitwise unchanged
+    # one evaluation per level keeps A, A1 and A2 (pinned from the former
+    # tensor grid; the density sums differ from it in the last bits)
     pinned = [
         ("-0x1.a1be15fc168c9p-6", "-0x1.0e49e1522f6e1p-209"),
         ("-0x1.7c17899f7576fp-7", "-0x1.99b5ffe92274bp-210"),
         ("-0x1.c764a258b7a23p-7", "-0x1.05bb857678ceep-211"),
     ]
     for v, (re, im) in zip((a.value, a.a1, a.a2), pinned):
-        assert (v.real.hex(), v.imag.hex()) == (re, im)
+        assert v == pytest.approx(complex(float.fromhex(re), float.fromhex(im)), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "c, pinned",
+    [
+        (Coupling(lam=0.05, p=2), (
+            -0.024155204999173747 - 1.2836789994930845e-66j,
+            -0.011640448691656882 - 8.020807410099706e-67j,
+            -0.012514756307516865 - 4.815982584831139e-67j,
+        )),
+        (Coupling(lam=0.1 * np.exp(2.5j), p=2), (
+            0.04116020705553604 - 0.04483178326714184j,
+            0.01988830647514383 - 0.019873776862278012j,
+            0.021271900580392213 - 0.02495800640486383j,
+        )),
+        (Coupling(lam=0.1 * np.exp(-1.2j), p=3), (
+            -0.03443577584231635 + 0.04251746032254168j,
+            -0.011933299784944848 + 0.016315066821665402j,
+            -0.022502476057371504 + 0.02620239350087628j,
+        )),
+    ],
+)
+def test_single_vertex_pinned_at_n3(c, pinned):
+    # A, A1, A2 from the former 128^3-point tensor grid at N = 3
+    a = single_vertex_amplitude(c, EnsembleSpec(N=3, beta=2), 0)
+    for v, ref in zip((a.value, a.a1, a.a2), pinned):
+        assert v == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        Coupling(lam=0.05, p=2),
+        Coupling(lam=0.05 * np.exp(2.5j), p=2),
+        Coupling(lam=0.05 * np.exp(1.5j), p=3),
+    ],
+    ids=["p2-real", "p2-arg2.5", "p3-arg1.5"],
+)
+def test_single_vertex_converges_like_inverse_n_squared(c):
+    # A_empty = A_planar + O(1/N^2): doubling N quarters the step
+    values = [
+        single_vertex_amplitude(c, EnsembleSpec(N=n, beta=2)).value
+        for n in (6, 12, 24, 48)
+    ]
+    steps = np.abs(np.diff(values))
+    ratios = steps[:-1] / steps[1:]
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
+def test_single_vertex_matches_monte_carlo_oracle():
+    # the mean of action_S over GUE draws, independent of the kernel sums
+    spec = EnsembleSpec(N=4, beta=2)
+    c = Coupling(lam=0.05, p=2)
+    rng = np.random.default_rng(4)
+    draws = np.linalg.eigvalsh(sample_gaussian_batch(spec, rng, 20000))
+    s_vals = action_S(c, spec, draws).total.real / spec.N**2
+    se = s_vals.std() / np.sqrt(len(s_vals))
+    exact = single_vertex_amplitude(c, spec)
+    assert abs(exact.value.real - s_vals.mean()) <= 4 * se
+    assert exact.stderr <= 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_single_vertex_amplitude_is_first_order_in_lambda(p, n):
     # A_empty = -lambda m_2p / N + O(lambda^2): the first-order free-energy
     # coefficient, so the amplitude's small-coupling log-log slope is 1
@@ -192,6 +254,9 @@ def test_budget_guards():
     pair = LabeledTree(2, ((1, 2),))
     with pytest.raises(BudgetExceededError):
         tree_amplitude(c, big, pair, {"n_w": 2, "n_mc": 2, "seed": 0})
+    # the N cap binds only sampled trees; the single vertex is exact at any N
+    single = tree_amplitude(c, big, LabeledTree(1, ()))
+    assert single.value == single_vertex_amplitude(c, big).value
 
 
 def test_two_vertex_stderr_scaling():
@@ -250,7 +315,7 @@ def test_hermite_rule_rejects_non_finite_weights():
     # numpy's hermgauss overflows to NaN weights by 400 nodes
     with pytest.raises(QuadratureUnderResolvedError, match=r"512 nodes.*N=1"):
         trees._hermite_rule(512, 1)
-    assert max(trees.GH_NODE_CAP.values()) <= 256
+    assert trees.GH_NODE_CAP <= 256
     c = Coupling(lam=0.1 * np.exp(2.5j), p=3)
     try:
         a = single_vertex_amplitude(c, EnsembleSpec(N=1, beta=2), 0)
@@ -278,3 +343,25 @@ def test_truncated_sum_first_order_only():
     total, err = lve_truncated_F(c, spec, 1, {"n_w": 1, "n_mc": 1, "seed": 0})
     a1 = single_vertex_amplitude(c, spec, 1)
     assert total == pytest.approx(a1.value, rel=1e-10)
+
+
+def test_truncated_sum_gives_every_sampled_tree_its_own_seed(monkeypatch):
+    seeds = []
+    amplitude = trees.tree_amplitude
+
+    def spy(c, spec, t, params=None):
+        if t.n >= 2:
+            seeds.append(params["seed"])
+        return amplitude(c, spec, t, params)
+
+    monkeypatch.setattr(trees, "tree_amplitude", spy)
+    c = Coupling(lam=0.05, p=2)
+    spec = EnsembleSpec(N=2, beta=2)
+    params = {"n_w": 10, "n_mc": 2, "seed": 13}
+    lve_truncated_F(c, spec, 3, params)
+    assert len(seeds) == 4 and len(set(seeds)) == 4 and seeds[0] == 13
+    # n_max <= 2 keeps the given seed on the n = 2 tree: these are the
+    # values of the shared-seed sum
+    total, err = lve_truncated_F(c, spec, 2, {"n_w": 50, "n_mc": 40, "seed": 13})
+    assert total.real.hex() == "-0x1.992412868f6bap-6"
+    assert err.hex() == "0x1.0514bcd88819bp-16"
