@@ -162,8 +162,8 @@ def test_single_vertex_grid_levels_visited_once(monkeypatch):
     monkeypatch.setattr(trees, "_hermite_rule", spy)
     a = single_vertex_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), 0)
     assert visited == [64, 128]
-    # one evaluation per level keeps A, A1 and A2 (pinned from the former
-    # tensor grid; the density sums differ from it in the last bits)
+    # one evaluation per level keeps A, A1 and A2 at their pinned values,
+    # up to summation order in the last bits
     pinned = [
         ("-0x1.a1be15fc168c9p-6", "-0x1.0e49e1522f6e1p-209"),
         ("-0x1.7c17899f7576fp-7", "-0x1.99b5ffe92274bp-210"),
