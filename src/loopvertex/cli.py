@@ -25,7 +25,7 @@ from .contour import build_keyhole
 from .errors import ConfigError, LoopVertexError
 from .fusscatalan import FussCatalanParams, fc_eval
 from .matrixcore import EnsembleSpec
-from .partition import QUAD_MAX_N, z_direct, z_lvr
+from .partition import free_energy, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
 from .trees import lve_truncated_F, single_vertex_amplitude
 
@@ -191,25 +191,15 @@ def _cmd_contour_check(config: RunConfig):
 def _cmd_z_identity(config: RunConfig):
     c = config.coupling()
     spec = config.ensemble()
-    kwargs = {}
-    method = "quadrature"
-    if spec.N > QUAD_MAX_N:
-        method = "monte_carlo"
-        kwargs = {"n_samples": config.mc_samples, "seed": config.seed}
-    direct = z_direct(c, spec, method, **kwargs)
-    lvr = z_lvr(c, spec, method, **kwargs)
+    direct = z_direct(c, spec)
+    lvr = z_lvr(c, spec)
     gap = abs(lvr.value - direct.value) / abs(direct.value)
-    if method == "quadrature":
-        ok = gap <= 1e-4
-    else:
-        sigma = max(np.hypot(direct.error, lvr.error), 1e-300)
-        ok = abs(lvr.value - direct.value) <= 3.0 * sigma
+    ok = gap <= 1e-4
     return {
         "results": {
             "z_direct": _c2d(direct.value),
             "z_lvr": _c2d(lvr.value),
             "relative_gap": gap,
-            "method": method,
             "error_direct": direct.error,
             "error_lvr": lvr.error,
         },
@@ -217,35 +207,11 @@ def _cmd_z_identity(config: RunConfig):
     }, ok
 
 
-def _free_energy_estimate(c, spec, method, config):
-    est = z_direct(
-        c,
-        spec,
-        method,
-        **(
-            {"n_samples": config.mc_samples, "seed": config.seed}
-            if method == "monte_carlo"
-            else {}
-        ),
-    )
-    f = complex(np.log(est.value) / spec.N**2)
-    err = est.error / max(abs(est.value), 1e-300) / spec.N**2
-    return f, err, est
-
-
 def _cmd_free_energy(config: RunConfig):
-    c = config.coupling()
-    spec = config.ensemble()
-    method = "quadrature" if spec.N <= QUAD_MAX_N else "monte_carlo"
-    f, err, est = _free_energy_estimate(c, spec, method, config)
+    f = free_energy(config.coupling(), config.ensemble())
     ok = np.isfinite(f.real) and np.isfinite(f.imag)
     return {
-        "results": {
-            "free_energy": _c2d(f),
-            "error": err,
-            "method": method,
-            "n_points": est.n_points,
-        },
+        "results": {"free_energy": _c2d(f)},
         "checks": {"finite": bool(ok)},
     }, ok
 
@@ -341,27 +307,19 @@ def _cmd_verify_bounds(config: RunConfig):
 def _cmd_pacman_scan(config: RunConfig):
     n_values = config.n_list or tuple(range(1, 7))
     c = config.coupling()
-    complex_lam = abs(np.angle(complex(c.lam))) > 1e-12 and config.lambda_modulus > 0
     rows = []
-    abs_f, used_n = [], []
+    abs_f = []
     for big_n in n_values:
-        if complex_lam and big_n > QUAD_MAX_N:
-            continue  # complex-lambda rows are quadrature-only (N <= QUAD_MAX_N)
-        spec = EnsembleSpec(N=big_n, beta=config.beta)
-        method = "quadrature" if big_n <= QUAD_MAX_N else "monte_carlo"
-        f, err, _ = _free_energy_estimate(c, spec, method, config)
-        rows.append([big_n, repr(f.real), repr(f.imag), repr(err), method])
+        f = free_energy(c, EnsembleSpec(N=big_n, beta=config.beta))
+        rows.append([big_n, repr(f.real), repr(f.imag)])
         abs_f.append(abs(f))
-        used_n.append(big_n)
-    csv_path = _write_csv(
-        config, ["N", "F_re", "F_im", "error", "method"], rows
-    )
-    slope, slope_err = _trend(np.array(used_n, float), np.array(abs_f))
+    csv_path = _write_csv(config, ["N", "F_re", "F_im"], rows)
+    slope, slope_err = _trend(np.array(n_values, float), np.array(abs_f))
     ok = slope <= 2.0 * slope_err
     return {
         "results": {
             "csv": csv_path,
-            "abs_F": dict(zip(map(str, used_n), abs_f)),
+            "abs_F": dict(zip(map(str, n_values), abs_f)),
             "trend_slope": slope,
             "trend_slope_stderr": slope_err,
             "bounded_in_N": bool(ok),

@@ -158,17 +158,6 @@ def sample_replicas(
     return (ell @ g.reshape(lead + (n_rep, n * n))).reshape(lead + (n_rep, n, n))
 
 
-def vandermonde(eigs, beta: int) -> float:
-    """Product over i<j of |mu_i - mu_j|^beta."""
-    eigs = np.asarray(eigs, dtype=float)
-    n = len(eigs)
-    out = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= abs(eigs[i] - eigs[j]) ** beta
-    return out
-
-
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     """Deterministic worker streams derived from a master seed."""
     return [

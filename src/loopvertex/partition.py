@@ -6,23 +6,33 @@ Z(lambda, N) is computed two independent ways and must agree:
   * through the change of variables, as E[exp(S(lam, K))].
 
 Both reduce to eigenvalue integrals with the Vandermonde repulsion
-factor.  Small N uses one deterministic quadrature engine that turns
-the N-fold integral into 1-D integrals along the line exp(i zeta) t:
-for beta = 2 the Andreief identity gives the determinant of a Gram
-matrix, for beta = 1 de Bruijn's identity gives a Pfaffian of ordered
-pair integrals.  The line is the real axis (zeta = 0) unless the
-coupling needs it rotated: Re(lam) < 0 for the direct weight, a cut ray
-of the scalar maps near the real axis for the change of variables.
-Composite 16-node Gauss-Legendre panels double until the ratio settles;
-the rule and its spectral integration matrix (the running integral of
-each panel's interpolant at its nodes) are built once at import, so a
-panel integral is one matrix product.  Larger N at real lam >= 0 uses
-Monte Carlo.  Exact Gaussian moments by Wick pairing enumeration
-provide the perturbative anchor.
+factor.  One deterministic quadrature engine turns the N-fold integral
+into 1-D integrals along the line exp(i zeta) t, at every N: for
+beta = 2 the Andreief identity gives the determinant of a Gram matrix,
+for beta = 1 de Bruijn's identity gives the Pfaffian of the ordered pair
+integrals (bordered by the moment vector when N is odd), reduced by
+Parlett-Reid elimination (Wimmer, ACM TOMS 38, 2012).  The functions are
+the orthonormal Hermite polynomials of exp(-N mu^2), so the Gram matrix
+stays near the identity whatever N is.  The line is the real axis
+(zeta = 0) unless the coupling needs it rotated: Re(lam) < 0 for the
+direct weight, a cut ray of the scalar maps near the real axis for the
+change of variables.  Composite 16-node Gauss-Legendre panels cover the
+bulk edge sqrt(2) plus 8.5 Gaussian scales and double until the ratio
+settles; the rule and its spectral integration matrix (the running
+integral of each panel's interpolant at its nodes) are built once at
+import, so a panel integral is one matrix product.  The single-vertex
+amplitude (trees.py) uses the same panels and Hermite recurrence.
+
+log Z is the integral over t in [0, 1] of the log-derivative of the
+determinant (or Pfaffian) at coupling t lam, so F follows Z from
+lam = 0 and never picks a branch of the logarithm.  Monte Carlo
+estimates of Z remain as an independent oracle, and exact Gaussian
+moments by Wick pairing enumeration provide the perturbative anchor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +47,9 @@ from .errors import (
 from .matrixcore import EnsembleSpec, sample_gaussian_batch, spawn_streams
 from .scalarmaps import Coupling
 
-QUAD_MAX_N = 3
 QUAD_REL_TOL = 1e-6
-#: integration half-width in units of the Gaussian scale 1/sqrt(N env)
+#: integration half-width beyond the bulk edge sqrt(2), in units of the
+#: Gaussian scale 1/sqrt(N env)
 HALF_WIDTH_SIGMAS = 8.5
 #: rotate the eigenvalue line once |arg lambda| exceeds pi/2 minus this
 TILT_MARGIN = 0.15
@@ -55,6 +65,13 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 _GL_S = np.polynomial.legendre.legval(
     _GL_X, np.polynomial.legendre.legint(np.eye(GL_ORDER), lbnd=-1)
 ).T @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GL_ORDER - 1))
+
+#: composite-panel schedule of the determinantal engine
+PANELS_START = 16
+PANELS_CAP = 512
+#: Gauss-Legendre schedule of the log Z integral over t in [0, 1]
+T_NODES_START = 2
+T_NODES_CAP = 256
 
 MC_MAX_REL_SE = 0.10
 MC_DEFAULT_SAMPLES = 20000
@@ -136,6 +153,11 @@ def _doubling(
     )
 
 
+def _half_width(big_n: int, zeta: float) -> float:
+    """Half-width of the panels on the line exp(i zeta) t: bulk plus margin."""
+    return np.sqrt(2.0) + HALF_WIDTH_SIGMAS / np.sqrt(big_n * np.cos(2 * zeta))
+
+
 def _panel_layout(half: float, n_panels: int):
     """Nodes, weights (both (P, GL_ORDER)) and half-width of P equal panels."""
     edges = np.linspace(-half, half, n_panels + 1)
@@ -144,90 +166,127 @@ def _panel_layout(half: float, n_panels: int):
     return nodes, np.broadcast_to(hw * _GL_W, nodes.shape), hw
 
 
-def _moment_blocks(phi, big_n: int, half: float, n_panels: int):
-    """1-D and ordered-pair integrals of a function family on [-half, half].
+def _hermite_rows(x: np.ndarray, big_n: int, scale: np.ndarray) -> np.ndarray:
+    """(N, m) orthonormal polynomials of exp(-N mu^2) at x, times scale.
 
-    phi(t) returns shape (K, len(t)) with K = big_n function values.
+    Row k is p_k(x) scale.  The three-term recurrence runs on the scaled
+    rows, which stay bounded like Hermite functions when scale carries
+    the Gaussian factor.
+    """
+    rows = [np.zeros_like(scale), (big_n / np.pi) ** 0.25 * scale]
+    for k in range(big_n - 1):
+        rows.append(
+            np.sqrt(2.0 * big_n / (k + 1)) * x * rows[-1]
+            - np.sqrt(k / (k + 1)) * rows[-2]
+        )
+    return np.array(rows[1:])
+
+
+def _moment_blocks(fvals: np.ndarray, hw: float):
+    """1-D and ordered-pair integrals of a function family on the panels.
+
+    fvals (K, P * GL_ORDER) holds the K functions at the panel nodes.
     Returns (m, M): m_i = integral of phi_i, and the antisymmetric
     M_ij = integral over x < y of phi_i(x) phi_j(y) - phi_j(x) phi_i(y),
     both to spectral accuracy: _GL_S gives the running integral of each
     panel's interpolant at its own nodes.
     """
-    nodes, weights, hw = _panel_layout(half, n_panels)
-    fvals = phi(nodes.ravel()).reshape(big_n, n_panels, GL_ORDER)
-    partials = hw * (fvals @ _GL_S.T)
-    totals = hw * (fvals @ _GL_W)
+    big_k = len(fvals)
+    panels = fvals.reshape(big_k, -1, GL_ORDER)
+    partials = hw * (panels @ _GL_S.T)
+    totals = hw * (panels @ _GL_W)
     prefix = np.concatenate(
-        [np.zeros((big_n, 1), dtype=complex), np.cumsum(totals, axis=1)[:, :-1]],
+        [np.zeros((big_k, 1), dtype=complex), np.cumsum(totals, axis=1)[:, :-1]],
         axis=1,
     )
     cum = partials + prefix[:, :, None]  # Phi_i at every node
-    m_vec = totals.sum(axis=1)
-    wf = weights.ravel()
-    fv = fvals.reshape(big_n, -1)
-    cv = cum.reshape(big_n, -1)
-    big_m = np.einsum("q,iq,jq->ij", wf, cv, fv)
-    big_m = big_m - big_m.T
-    return m_vec, big_m
+    big_m = (cum * (hw * _GL_W)).reshape(big_k, -1) @ fvals.T
+    return totals.sum(axis=1), big_m - big_m.T
 
 
-def _ordered_value(phi, big_n: int, half: float, n_panels: int) -> complex:
-    """Integral of det[phi_i(x_j)] over the ordered sector x_1 < ... < x_N.
+def _bordered(big_m: np.ndarray, m_vec: np.ndarray) -> np.ndarray:
+    """de Bruijn's skew matrix: M itself for even N, bordered by m for odd N."""
+    n = len(m_vec)
+    if n % 2 == 0:
+        return big_m
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    out[:n, :n] = big_m
+    out[:n, n] = m_vec
+    out[n, :n] = -m_vec
+    return out
 
-    Single-site determinant integrals reduce to the moment vector and
-    pair blocks: for N = 1 the plain integral, N = 2 the antisymmetric
-    pair integral, N = 3 its Pfaffian combination with the moments.
+
+def _pfaffian(a: np.ndarray) -> complex:
+    """Pfaffian of an even-order skew-symmetric matrix (Parlett-Reid).
+
+    Gaussian elimination two columns at a time with a skew-symmetric
+    rank-2 update, pivoting on the largest entry below the diagonal.
     """
-    m_vec, big_m = _moment_blocks(phi, big_n, half, n_panels)
-    if big_n == 1:
-        return complex(m_vec[0])
-    if big_n == 2:
-        return complex(big_m[0, 1])
-    return complex(
-        big_m[0, 1] * m_vec[2] - big_m[0, 2] * m_vec[1] + big_m[1, 2] * m_vec[0]
-    )
+    a = np.array(a, dtype=complex)
+    n = len(a)
+    pf = 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
+        if kp != k + 1:
+            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
+            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
+            pf = -pf
+        if a[k + 1, k] == 0:
+            return 0.0j
+        pf *= a[k, k + 1]
+        tau = a[k, k + 2 :] / a[k, k + 1]
+        col = a[k + 2 :, k + 1]
+        a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
 
 
-def _hankel_value(pair_fn, big_n: int, half: float, n_panels: int) -> complex:
-    """det of the Gram matrix G_ij = integral f_i f_j w for beta = 2 cubes.
+def _engine_matrix(spec: EnsembleSpec, rows, site, weights, hw) -> np.ndarray:
+    """Gram matrix (beta = 2) or de Bruijn skew matrix (beta = 1).
 
-    pair_fn(t) returns (vals, weight) with vals shape (N, len(t)); the
-    Gram entries are 1-D integrals, so the N-fold cube collapses.
+    rows are _hermite_rows at the panel nodes, site the per-eigenvalue
+    weight beyond the Gaussian factor that rows carry: each row holds
+    exp(-N mu^2 / beta), so a Gram entry and a single-site beta = 1
+    function both carry exp(-N mu^2) once.
     """
-    nodes, weights, _ = _panel_layout(half, n_panels)
-    vals, w_site = pair_fn(nodes.ravel())
-    gram = np.einsum("q,iq,jq->ij", weights.ravel() * w_site, vals, vals)
-    if big_n == 1:
-        return complex(gram[0, 0])
-    return complex(np.linalg.det(gram))
+    if spec.beta == 2:
+        return (rows * (weights * site)) @ rows.T
+    m_vec, big_m = _moment_blocks(rows * site, hw)
+    return _bordered(big_m, m_vec)
 
 
-#: composite-panel schedule of the determinantal engine
-PANELS_START = 16
-PANELS_CAP = 512
+def _line_nodes(spec: EnsembleSpec, zeta: float, n_panels: int):
+    """Panel nodes mu on the line exp(i zeta) t and their weights.
+
+    Returns (mu, weights, hw, gauss) with gauss = exp(-N mu^2 / beta),
+    the Gaussian factor each row carries.
+    """
+    t, weights, hw = _panel_layout(_half_width(spec.N, zeta), n_panels)
+    mu = np.exp(1j * zeta) * t.ravel()
+    return mu, weights.ravel(), hw, np.exp(-spec.N * mu**2 / spec.beta)
 
 
 def _line_estimate(
-    c: Coupling, spec: EnsembleSpec, zeta: float, family_num, family_den, stage: str
+    c: Coupling, spec: EnsembleSpec, zeta: float, family, stage: str
 ) -> PartitionEstimate:
     """Z ratio on the line exp(i zeta) t via determinant/Pfaffian identities.
 
-    family_num/family_den(t) return, for beta = 2, (vals, site_weight)
-    Gram inputs; for beta = 1, the K function values of the ordered
-    determinant.  All contour phases are common factors of numerator
-    and denominator and cancel in the ratio.
+    family(mu) returns (x, site): the point where the numerator's
+    polynomials are evaluated and its site weight; the denominator is the
+    Gaussian itself (x = mu, site 1).  All contour phases are common
+    factors of numerator and denominator and cancel in the ratio.
     """
-    env = float(np.cos(2 * zeta))
-    half = HALF_WIDTH_SIGMAS / np.sqrt(spec.N * env)
-    if spec.beta == 1 and spec.N > 1:
-        num_fn = lambda P: _ordered_value(family_num, spec.N, half, P)
-        den_fn = lambda P: _ordered_value(family_den, spec.N, half, P)
-    else:
-        num_fn = lambda P: _hankel_value(family_num, spec.N, half, P)
-        den_fn = lambda P: _hankel_value(family_den, spec.N, half, P)
+    big_n = spec.N
 
     def eval_at(n_panels):
-        return num_fn(n_panels) / den_fn(n_panels)
+        mu, weights, hw, gauss = _line_nodes(spec, zeta, n_panels)
+        x, site = family(mu)
+        den_rows = _hermite_rows(mu, big_n, gauss)
+        num_rows = den_rows if x is mu else _hermite_rows(x, big_n, gauss)
+        num = _engine_matrix(spec, num_rows, site, weights, hw)
+        den = _engine_matrix(spec, den_rows, 1.0, weights, hw)
+        if spec.beta == 2:
+            return complex(np.linalg.det(num) / np.linalg.det(den))
+        return _pfaffian(num) / _pfaffian(den)
 
     value, gap, n_panels = _doubling(
         eval_at, PANELS_START, PANELS_CAP, stage, c, spec
@@ -286,36 +345,12 @@ def z_direct(
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    if big_n > QUAD_MAX_N:
-        raise OutOfRangeError(f"quadrature supports N <= {QUAD_MAX_N}")
 
-    zeta = _tilt_angle(lam, p)
-    rot = np.exp(1j * zeta)
-    powers = np.arange(big_n)
-
-    def monomials(mu):
-        return mu[None, :] ** powers[:, None]
-
-    if spec.beta == 1 and big_n >= 2:
-        def family_num(t):
-            mu = rot * t
-            w = np.exp(-big_n * (mu**2 + lam * mu ** (2 * p)))
-            return monomials(mu) * w[None, :]
-
-        def family_den(t):
-            mu = rot * t
-            return monomials(mu) * np.exp(-big_n * mu**2)[None, :]
-    else:
-        def family_num(t):
-            mu = rot * t
-            return monomials(mu), np.exp(-big_n * (mu**2 + lam * mu ** (2 * p)))
-
-        def family_den(t):
-            mu = rot * t
-            return monomials(mu), np.exp(-big_n * mu**2)
+    def family(mu):
+        return mu, np.exp(-big_n * lam * mu ** (2 * p))
 
     return _line_estimate(
-        c, spec, zeta, family_num, family_den, "z_direct quadrature"
+        c, spec, _tilt_angle(lam, p), family, "z_direct quadrature"
     )
 
 
@@ -330,7 +365,6 @@ def z_lvr(
     lam = complex(c.lam)
     if lam == 0:
         return PartitionEstimate(1.0 + 0.0j, method, 0.0, 0)
-    big_n = spec.N
     if method == "monte_carlo":
         def log_integrand(eigs):
             # real lambda: S is real on real spectra
@@ -339,47 +373,72 @@ def z_lvr(
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    if big_n > QUAD_MAX_N:
-        raise OutOfRangeError(f"quadrature supports N <= {QUAD_MAX_N}")
 
-    zeta = _map_rotation(c)
-    rot = np.exp(1j * zeta)
-    powers = np.arange(big_n)
+    def family(mu):
+        md = map_derivatives(c, mu)
+        return md["h"], md["hp"]
 
-    def monomials(v):
-        return v[None, :] ** powers[:, None]
+    return _line_estimate(c, spec, _map_rotation(c), family, "z_lvr quadrature")
 
-    if spec.beta == 1 and big_n >= 2:
-        def family_num(t):
-            mu = rot * t
-            md = map_derivatives(c, mu)
-            w = md["hp"] * np.exp(-big_n * mu**2)
-            return monomials(md["h"]) * w[None, :]
 
-        def family_den(t):
-            mu = rot * t
-            return monomials(mu) * np.exp(-big_n * mu**2)[None, :]
-    else:
-        def family_num(t):
-            mu = rot * t
-            md = map_derivatives(c, mu)
-            return monomials(md["h"]), md["hp"] * np.exp(-big_n * mu**2)
-
-        def family_den(t):
-            mu = rot * t
-            return monomials(mu), np.exp(-big_n * mu**2)
-
-    return _line_estimate(c, spec, zeta, family_num, family_den, "z_lvr quadrature")
+@functools.lru_cache(maxsize=16)
+def _unit_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def free_energy(
     c: Coupling, spec: EnsembleSpec, method: str = "quadrature", **kwargs
 ) -> complex:
-    """F = N^(-2) log Z, principal log (Z stays near 1 at desk scale)."""
-    est = z_direct(c, spec, method, **kwargs)
-    if est.error > 0.5 * abs(est.value):
-        raise VarianceBlowupError("Z estimate too noisy for a log")
-    return complex(np.log(est.value) / spec.N**2)
+    """F = N^(-2) log Z.
+
+    Quadrature: on z_direct's line and at the panel level its doubling
+    accepted, log Z is the integral over t in [0, 1] of
+    tr(G(t)^-1 G'(t)) (beta = 2) or tr(A(t)^-1 A'(t)) / 2 (beta = 1),
+    the log-derivative of the Gram determinant or the Pfaffian at
+    coupling t lam, on Gauss-Legendre t-nodes that double until the sum
+    settles.  The log thus follows Z continuously from lam = 0.
+    Monte Carlo: the principal log of the estimate.
+    """
+    if method != "quadrature":
+        est = z_direct(c, spec, method, **kwargs)
+        if est.error > 0.5 * abs(est.value):
+            raise VarianceBlowupError("Z estimate too noisy for a log")
+        return complex(np.log(est.value) / spec.N**2)
+    lam = complex(c.lam)
+    if lam == 0:
+        return 0.0j
+    big_n = spec.N
+    zeta = _tilt_angle(lam, c.p)
+    n_panels = z_direct(c, spec).n_points // GL_ORDER
+    mu, weights, hw, gauss = _line_nodes(spec, zeta, n_panels)
+    rows = _hermite_rows(mu, big_n, gauss)
+    pot = big_n * lam * mu ** (2 * c.p)
+
+    def log_derivative(t):
+        site = np.exp(-t * pot)
+        if spec.beta == 2:
+            g = _engine_matrix(spec, rows, site, weights, hw)
+            dg = _engine_matrix(spec, rows, -pot * site, weights, hw)
+            return np.trace(np.linalg.solve(g, dg))
+        # the pair blocks of [phi; phi'] hold M in the top-left block and
+        # the cross term C, with M' = C - C^T, in the top-right block
+        phi = rows * site
+        m_vec, big_m = _moment_blocks(np.concatenate([phi, -pot * phi]), hw)
+        cross = big_m[:big_n, big_n:]
+        a = _bordered(big_m[:big_n, :big_n], m_vec[:big_n])
+        da = _bordered(cross - cross.T, m_vec[big_n:])
+        return 0.5 * np.trace(np.linalg.solve(a, da))
+
+    def eval_at(n_t):
+        t, w = _unit_rule(n_t)
+        return sum(wk * log_derivative(tk) for tk, wk in zip(t, w))
+
+    log_z, _, _ = _doubling(
+        eval_at, T_NODES_START, T_NODES_CAP, "free_energy log Z", c, spec
+    )
+    return complex(log_z / big_n**2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ the interpolation weights come from the min-over-path forest rule.
 The single-vertex amplitude N^(-2) E[S] is exact at every N: S is a sum
 of one- and two-eigenvalue terms, so the GUE densities rho1 = K(x, x)
 and rho2 = K(x, x) K(y, y) - K(x, y)^2 of the Christoffel-Darboux
-(Hermite) kernel K reduce E[S] to a 1-D and a 2-D sum on one
-Gauss-Hermite rule (Mehta, Random Matrices, ch. 6).
+(Hermite) kernel K reduce E[S] to a 1-D and a 2-D sum on the panel
+nodes of the partition-function engine (Mehta, Random Matrices, ch. 6).
 
 Amplitudes of trees with n >= 2 are Monte Carlo averages drawn as
 arrays: every sample has its own weakening vector, bkar_x_matrix turns
@@ -39,11 +39,7 @@ from .action import (
     action_hessian,
     map_derivatives,
 )
-from .errors import (
-    BudgetExceededError,
-    OutOfRangeError,
-    QuadratureUnderResolvedError,
-)
+from .errors import BudgetExceededError, OutOfRangeError
 from .matrixcore import (
     EnsembleSpec,
     SpectralData,
@@ -52,17 +48,22 @@ from .matrixcore import (
     sample_replicas,
     spawn_streams,
 )
-from .partition import _doubling
+from .partition import (
+    GL_ORDER,
+    _doubling,
+    _half_width,
+    _hermite_rows,
+    _panel_layout,
+)
 from .scalarmaps import Coupling
 
 MAX_TREE_ORDER = 7
 MAX_AMPLITUDE_VERTICES = 3
-MAX_AMPLITUDE_N = 3
 MAX_VERTEX_DEGREE = 2
-#: Gauss-Hermite mean-action rule: start nodes and cap
-#: (numpy's hermgauss overflows to NaN weights by 400 nodes)
-GH_START_NODES = 64
-GH_NODE_CAP = 256
+#: panel schedule of the single-vertex densities (16 nodes per panel):
+#: the start doubles each time N quadruples, from 4 panels at N <= 3
+SV_PANELS_START = 4
+SV_PANELS_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,6 @@ def _gradient_batch(c: Coupling, s: SpectralData) -> np.ndarray:
 def _check_budget(spec: EnsembleSpec, t: LabeledTree):
     if t.n > MAX_AMPLITUDE_VERTICES:
         raise BudgetExceededError(f"amplitudes support n <= {MAX_AMPLITUDE_VERTICES}")
-    if spec.N > MAX_AMPLITUDE_N:
-        raise BudgetExceededError(f"amplitudes support N <= {MAX_AMPLITUDE_N}")
     if t.n >= 2 and max(t.degrees().values()) > MAX_VERTEX_DEGREE:
         raise BudgetExceededError(
             f"vertex degree above {MAX_VERTEX_DEGREE} needs third derivatives"
@@ -240,66 +239,49 @@ def _check_budget(spec: EnsembleSpec, t: LabeledTree):
         raise BudgetExceededError("tree amplitudes are implemented for beta = 2")
 
 
-def _hermite_rule(n_nodes: int, big_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-N mu^2) d mu."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    if not np.all(np.isfinite(w)):
-        raise QuadratureUnderResolvedError(
-            f"Gauss-Hermite rule with {n_nodes} nodes (mean-action grid, "
-            f"N={big_n}) has {int(np.sum(~np.isfinite(w)))} non-finite weights"
-        )
-    s = np.sqrt(float(big_n))
-    return x / s, w / s
-
-
 def _hermite_kernel(mu: np.ndarray, w: np.ndarray, big_n: int) -> np.ndarray:
     """(m, m) Christoffel-Darboux kernel K = Phi^T Phi on the rule's nodes.
 
     Row k of Phi is the k-th orthonormal polynomial for exp(-N mu^2)
-    times sqrt(w); the three-term recurrence runs on the scaled rows,
-    which stay bounded like Hermite functions.
+    times sqrt(w), w the nodes' weights against exp(-N mu^2) d mu.
     """
-    rows = [np.zeros_like(mu), (big_n / np.pi) ** 0.25 * np.sqrt(w)]
-    for k in range(big_n - 1):
-        rows.append(
-            np.sqrt(2.0 * big_n / (k + 1)) * mu * rows[-1]
-            - np.sqrt(k / (k + 1)) * rows[-2]
-        )
-    phi = np.array(rows[1:])
+    phi = _hermite_rows(mu, big_n, np.sqrt(w))
     return phi.T @ phi
 
 
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
     """(E[S], E[S1]) over the Gaussian ensemble from its correlation functions.
 
-    On an m-node Gauss-Hermite rule (exact on the kernel's polynomials
-    once m >= N) the GUE densities are rho1_a = K_aa and
+    On the engine's panels over the bulk (exact on the kernel's
+    polynomials once resolved) the GUE densities are rho1_a = K_aa and
     rho2_ab = K_aa K_bb - K_ab^2, so E[S] = sum_a rho1_a log h'(mu_a) +
     beta sum_{a<b} rho2_ab log D_ab.  Each level is evaluated once; the
     accepted level's pair is kept.
     """
     big_n = spec.N
+    half = _half_width(big_n, 0.0)
     pairs = {}
 
-    def eval_at(m):
-        mu, w = _hermite_rule(m, big_n)
-        kern = _hermite_kernel(mu, w, big_n)
+    def eval_at(n_panels):
+        nodes, weights, _ = _panel_layout(half, n_panels)
+        mu = nodes.ravel()
+        kern = _hermite_kernel(mu, weights.ravel() * np.exp(-big_n * mu**2), big_n)
         rho1 = np.diag(kern)
-        a, b = np.triu_indices(m, k=1)
+        a, b = np.triu_indices(len(mu), k=1)
         rho2 = rho1[a] * rho1[b] - kern[a, b] ** 2
         md = map_derivatives(c, mu.astype(complex))
         log_d = _log_ratio_pairs(mu, md["h"], md["hp"])
-        pairs[m] = (
+        pairs[n_panels] = (
             complex(rho1 @ np.log(md["hp"]) + spec.beta * (rho2 @ log_d)),
             complex(0.5 * big_n * (rho1 @ md["logt"])),
         )
-        return pairs[m][0]
+        return pairs[n_panels][0]
 
-    value, gap, m = _doubling(
-        eval_at, GH_START_NODES, GH_NODE_CAP, "mean-action grid", c, spec
+    start = SV_PANELS_START * 2 ** ((big_n.bit_length() - 1) // 2)
+    value, gap, n_panels = _doubling(
+        eval_at, start, SV_PANELS_CAP, "mean-action grid", c, spec
     )
-    return value, pairs[m][1], gap, m
+    return value, pairs[n_panels][1], gap, GL_ORDER * n_panels
 
 
 def single_vertex_amplitude(
@@ -308,7 +290,7 @@ def single_vertex_amplitude(
     """A for the empty tree: N^(-2) E[S(lambda, K)], with the A1/A2 split.
 
     Deterministic at every N and every coupling: E[S] and E[S1] are one-
-    and two-point sums on a Gauss-Hermite rule (_quadrature_mean_action);
+    and two-point sums on the engine's panels (_quadrature_mean_action);
     stderr is the gap between the last two rule levels and n_mc_samples
     the accepted node count.  n_mc is ignored.
     """
@@ -342,7 +324,8 @@ def tree_amplitude(
     sample draws its own weakening vector) and seed.  Degree-1 vertices
     carry the analytic action gradient, the degree-2 vertex of a 3-path
     the exact directional Hessian (action_hessian).  All samples are
-    drawn as arrays, in chunks of _BATCH_CHUNK.
+    drawn as arrays, in chunks of at most _BATCH_CHUNK samples and
+    _CHUNK_ELEMENTS replica-matrix entries.
     """
     if t.n == 1:
         return single_vertex_amplitude(c, spec)
@@ -354,23 +337,27 @@ def tree_amplitude(
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, n_w, n_mc, t)
     rng = spawn_streams(seed, 1)[0]
+    chunk = max(1, min(_BATCH_CHUNK, _CHUNK_ELEMENTS // (t.n * spec.N**2)))
     if t.n == 2:
         pref = 1.0 / (spec.N**2 * 2 * spec.N)
         mean, stderr = _sample_mean(
-            lambda m: _two_vertex_values(c, spec, rng, m), n_w * n_mc
+            lambda m: _two_vertex_values(c, spec, rng, m), n_w * n_mc, chunk
         )
     else:
         pref = 1.0 / (spec.N**2 * (2 * spec.N) ** 2)
         mean, stderr = _sample_mean(
-            lambda m: _three_vertex_values(c, spec, t, rng, m), n_w * n_mc
+            lambda m: _three_vertex_values(c, spec, t, rng, m), n_w * n_mc, chunk
         )
     return AmplitudeEstimate(pref * mean, pref * stderr, n_w, n_mc, t)
 
 
+#: samples per chunk, and replica-matrix entries (samples x n x N^2) per
+#: chunk: the sample cap binds up to N = 3, the entry budget above
 _BATCH_CHUNK = 65536
+_CHUNK_ELEMENTS = _BATCH_CHUNK * MAX_AMPLITUDE_VERTICES * 3**2
 
 
-def _sample_mean(draw, count: int) -> tuple[complex, float]:
+def _sample_mean(draw, count: int, chunk: int) -> tuple[complex, float]:
     """Mean and standard error of count i.i.d. values, drawn in chunks.
 
     draw(m) returns m values; every value comes with its own uniform w,
@@ -381,7 +368,7 @@ def _sample_mean(draw, count: int) -> tuple[complex, float]:
     acc2 = 0.0
     left = count
     while left > 0:
-        m = min(left, _BATCH_CHUNK)
+        m = min(left, chunk)
         left -= m
         vals = draw(m)
         acc += vals.sum()

@@ -94,11 +94,12 @@ def test_z_identity_quadrature_and_mc(tmp_path, monkeypatch):
     doc = load_json(tmp_path, "z-identity")
     assert all(doc["checks"].values())
     code = run_cli(
-        ["z-identity", "--N", "5", "--lambda-modulus", "0.05",
-         "--mc-samples", "20000"],
+        ["z-identity", "--N", "5", "--lambda-modulus", "0.05"],
         tmp_path, monkeypatch,
     )
     assert code == 0
+    doc = load_json(tmp_path, "z-identity")
+    assert doc["results"]["relative_gap"] <= 1e-4
 
 
 def test_jacobian_check_requires_real_positive_coupling(tmp_path, monkeypatch):
@@ -158,6 +159,19 @@ def test_pacman_scan_csv(tmp_path, monkeypatch):
         header = f.readline().strip().split(",")
     assert any(col.endswith("_re") for col in header)
     assert any(col.endswith("_im") for col in header)
+
+
+def test_pacman_scan_complex_coupling_every_n(tmp_path, monkeypatch):
+    code = run_cli(
+        ["pacman-scan", "--N-list", "1..6", "--lambda-modulus", "0.05",
+         "--lambda-arg", "2.5"],
+        tmp_path, monkeypatch,
+    )
+    assert code == 0
+    with open(os.path.join(str(tmp_path), "pacman-scan.csv")) as f:
+        lines = f.read().splitlines()
+    assert lines[0] == "N,F_re,F_im"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4, 5, 6]
 
 
 def test_run_config_direct(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from loopvertex.matrixcore import (
     sample_gaussian_batch,
     sample_replicas,
     spawn_streams,
-    vandermonde,
 )
 
 
@@ -118,11 +117,6 @@ def test_replica_correlations():
         acc.append((k1[0, 1] * k2[1, 0]).real)
     straight, _ = covariances(spec)
     assert np.mean(acc) == pytest.approx(0.6 * straight, rel=0.05)
-
-
-def test_vandermonde():
-    assert vandermonde([1.0, 3.0], beta=2) == pytest.approx(4.0)
-    assert vandermonde([0.0, 1.0, 2.0], beta=1) == pytest.approx(2.0)
 
 
 def test_spawn_streams_deterministic_and_distinct():

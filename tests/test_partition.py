@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopvertex import partition
+from loopvertex.bounds import PACMAN_MODULI, pacman_args
 from loopvertex.errors import (
     OutOfRangeError,
     QuadratureUnderResolvedError,
@@ -255,3 +256,93 @@ def test_free_energy_value_and_guard():
             Coupling(lam=0.45, p=3), EnsembleSpec(N=5, beta=2),
             method="monte_carlo", n_samples=200, seed=0,
         )
+
+
+@pytest.mark.parametrize("beta, sizes", [(2, range(1, 9)), (1, (4, 5, 8))])
+def test_change_of_variables_identity_beyond_n3(beta, sizes):
+    # every pacman coupling at p = 2, and |lam| = 0.05 on the same arguments
+    couplings = [
+        Coupling(lam=mod * np.exp(1j * arg), p=2)
+        for mod in PACMAN_MODULI + (0.05,)
+        for arg in pacman_args(0.2)
+    ]
+    for n in sizes:
+        spec = EnsembleSpec(N=n, beta=beta)
+        for c in couplings:
+            a = z_direct(c, spec).value
+            b = z_lvr(c, spec).value
+            assert abs(a - b) / abs(a) <= 1e-4, (n, c.lam)
+
+
+def test_unresolved_lines_raise_naming_their_input():
+    # beyond the engine's reach a doubling stalls; it never returns a value
+    cases = [
+        (z_direct, Coupling(lam=0.05 * np.exp(1j * (np.pi - 0.4)), p=2), 16, 2),
+        (z_lvr, Coupling(lam=0.05 * np.exp(1.2j), p=2), 16, 2),
+        (z_direct, Coupling(lam=0.05, p=2), 32, 1),
+    ]
+    for fn, c, n, beta in cases:
+        with pytest.raises(QuadratureUnderResolvedError, match=f"N={n}, beta={beta}"):
+            fn(c, EnsembleSpec(N=n, beta=beta))
+
+
+def _planar_free_energy(lam):
+    # Brezin-Itzykson-Parisi-Zuber (1978) for exp(-N Tr(H^2 + lam H^4)):
+    # a^2 = T_2(-3 lam), F = -[(a^2 - 1)(9 - a^2)/24 - log(a^2)/2]
+    a2 = (np.sqrt(1 + 12 * lam + 0j) - 1) / (6 * lam)
+    return -((a2 - 1) * (9 - a2) / 24 - 0.5 * np.log(a2))
+
+
+def test_free_energy_meets_planar_limit_real_coupling():
+    lam = 0.05
+    scaled = {
+        n: n**2 * (free_energy(Coupling(lam=lam, p=2), EnsembleSpec(N=n))
+                   - _planar_free_energy(lam))
+        for n in (8, 16, 32)
+    }
+    for n in (8, 32):
+        assert abs(scaled[n] - scaled[16]) <= 0.05 * abs(scaled[16]), scaled
+
+
+def test_free_energy_meets_planar_limit_complex_coupling():
+    # the principal log of Z puts Im F on the wrong sheet here (+0.0032
+    # instead of -0.0213 at N = 16); the log-derivative integral does not
+    lam = 0.05 * np.exp(1.2j)
+    scaled = {
+        n: n**2 * abs(free_energy(Coupling(lam=lam, p=2), EnsembleSpec(N=n))
+                      - _planar_free_energy(lam))
+        for n in (16, 32, 48)
+    }
+    for n in (32, 48):
+        assert abs(scaled[n] - scaled[16]) <= 0.05 * scaled[16], scaled
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_real_symmetric_z_matches_monte_carlo(n):
+    c = Coupling(lam=0.05, p=2)
+    spec = EnsembleSpec(N=n, beta=1)
+    exact = z_direct(c, spec).value
+    mc = z_direct(c, spec, method="monte_carlo", n_samples=400000, seed=n)
+    assert abs(exact - mc.value) <= 3 * mc.error
+
+
+def test_real_symmetric_free_energy_first_order():
+    # F = -lam E[Tr H^4] / N + O(lam^2) for the GOE weight exp(-N Tr H^2)
+    lam = 1e-4
+    for n in range(2, 7):
+        f = free_energy(Coupling(lam=lam, p=2), EnsembleSpec(N=n, beta=1))
+        target = -float(gaussian_moment_exact(n, 2, beta=1)) / n
+        assert f.real / lam == pytest.approx(target, rel=1e-3), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_pfaffian_squares_to_determinant(n, seed):
+    # odd n is bordered by a moment vector, as de Bruijn's identity asks
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = partition._bordered(g - g.T, m)
+    assert a.shape[0] % 2 == 0
+    hadamard = np.prod(np.linalg.norm(a, axis=1))
+    assert abs(partition._pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * hadamard
