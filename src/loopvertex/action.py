@@ -19,12 +19,14 @@ Every such array is a divided difference, and one kernel,
 values and derivatives to the (..., N, N) ratio matrix and takes the
 derivative limit wherever two points lie closer than COINCIDENCE_TOL.
 The action, Sigma, the resolvent, the gradient, the tree amplitudes and
-the Monte Carlo integrands all go through it.  The resolvent, corner
-and gradient functions and the action itself are batch-first: they take
-a SpectralData or a (..., N) stack of eigenvalues, and a single spectrum
-is a batch of one.  action_hessian, the derivative of the gradient along
-a matrix direction, builds its second-order quotients from the same
-kernel; the third derivative of h it needs is computed there only.
+the Monte Carlo integrands all go through it.  Every function of a
+spectrum is batch-first: the action and its split, Sigma (by quadrature
+or directly), the resolvent, corner, gradient and Hessian take a
+SpectralData or a (..., N) stack of eigenvalues (the gradient and the
+Hessian need the eigenvectors too), and a single spectrum is a batch of
+one.  action_hessian, the derivative of the gradient along a matrix
+direction, builds its second-order quotients from the same kernel; the
+third derivative of h it needs is computed there only.
 """
 
 from __future__ import annotations
@@ -162,6 +164,13 @@ def _log_ratio_pairs(kappa: np.ndarray, h: np.ndarray, hp: np.ndarray) -> np.nda
     return np.log(ratio[..., iu[0], iu[1]])
 
 
+def _action_sums(kappa: np.ndarray, md: dict, beta: int):
+    """(S, sum_i log h'(kappa_i)) over the last axis, given md = map_derivatives."""
+    log_hp = np.sum(np.log(md["hp"]), axis=-1)
+    pairs = np.sum(_log_ratio_pairs(kappa, md["h"], md["hp"]), axis=-1)
+    return log_hp + beta * pairs, log_hp
+
+
 def action_S(c: Coupling, spec: EnsembleSpec, s_k) -> ActionValue:
     """Effective action S(lambda, K) from the spectrum of K.
 
@@ -174,10 +183,7 @@ def action_S(c: Coupling, spec: EnsembleSpec, s_k) -> ActionValue:
     if complex(c.lam) == 0:
         total = log_hp = np.zeros(kappa.shape[:-1], dtype=complex)
     else:
-        md = map_derivatives(c, kappa)
-        log_hp = np.sum(np.log(md["hp"]), axis=-1)
-        pairs = np.sum(_log_ratio_pairs(kappa, md["h"], md["hp"]), axis=-1)
-        total = log_hp + spec.beta * pairs
+        total, log_hp = _action_sums(kappa, map_derivatives(c, kappa), spec.beta)
     single = (1.0 - spec.beta / 2.0) * log_hp
     parts = (total, single, total - single)
     if kappa.ndim == 1:
@@ -185,16 +191,17 @@ def action_S(c: Coupling, spec: EnsembleSpec, s_k) -> ActionValue:
     return ActionValue(*parts)
 
 
-def action_split(c: Coupling, s_k: SpectralData) -> tuple[complex, complex]:
-    """(S1, S2) with S1 = (N/2) sum_i log T and S2 the remainder (beta = 2)."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
-    n = len(kappa)
-    if complex(c.lam) == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    md = map_derivatives(c, kappa)
-    s1 = complex(0.5 * n * np.sum(md["logt"]))
-    total = action_S(c, EnsembleSpec(N=n, beta=2), s_k).total
-    return s1, total - s1
+def action_split(c: Coupling, s_k) -> tuple:
+    """(S1, S2) with S1 = (N/2) sum_i log T and S2 the remainder (beta = 2).
+
+    Batch-first like action_S: complex values for one spectrum, (...)
+    arrays for a (..., N) stack.
+    """
+    kappa = _eigenvalues(s_k)
+    md = map_derivatives(c, kappa)  # the identity maps at lam = 0, so S1 = S2 = 0
+    s1 = 0.5 * kappa.shape[-1] * np.sum(md["logt"], axis=-1)
+    s2 = _action_sums(kappa, md, 2)[0] - s1
+    return (complex(s1), complex(s2)) if kappa.ndim == 1 else (s1, s2)
 
 
 def _resolvent_values(kappa: np.ndarray, md: dict) -> np.ndarray:
@@ -256,18 +263,19 @@ def corner_operator(c: Coupling, s_k, u_k, u_k1) -> np.ndarray:
     return res * (left + right)
 
 
-def sigma_contour(
-    c: Coupling, gamma: KeyholeContour, s_k: SpectralData
-) -> np.ndarray:
-    """Sigma entries by contour quadrature of g(u) resolvent pairs."""
-    kappa = np.asarray(s_k.eigenvalues, dtype=complex)
+def sigma_contour(c: Coupling, gamma: KeyholeContour, s_k) -> np.ndarray:
+    """Sigma entries by contour quadrature of g(u) resolvent pairs.
+
+    Batch-first: s_k is a SpectralData or (..., N) eigenvalues, and the
+    result is (..., N, N).
+    """
+    kappa = _eigenvalues(s_k)
     if complex(c.lam) == 0:
-        return np.zeros((len(kappa), len(kappa)), dtype=complex)
+        return np.zeros(kappa.shape + kappa.shape[-1:], dtype=complex)
     g = eval_map("g", c, gamma.nodes)
-    ri = 1.0 / (gamma.nodes[None, :] - kappa[:, None])  # (i, node)
+    ri = 1.0 / (gamma.nodes - kappa[..., None])  # (..., i, node)
     weighted = g * gamma.dnodes
-    sigma = np.einsum("im,jm,m->ij", ri, ri, weighted) / (2j * np.pi)
-    return sigma
+    return np.einsum("...im,...jm,m->...ij", ri, ri, weighted) / (2j * np.pi)
 
 
 def sigma_direct(c: Coupling, s_k) -> np.ndarray:
@@ -299,13 +307,14 @@ def action_gradient_eigenvalues(c: Coupling, spec: EnsembleSpec, s_k) -> np.ndar
     return (1.0 - spec.beta / 2.0) * single + (spec.beta / 2.0) * dbl
 
 
-def action_gradient(
-    c: Coupling, spec: EnsembleSpec, s_k: SpectralData
-) -> np.ndarray:
-    """Matrix G with G_ab = dS/dK_ba, i.e. dS = Tr(G dK)."""
-    g_diag = action_gradient_eigenvalues(c, spec, s_k)
+def action_gradient(c: Coupling, spec: EnsembleSpec, s_k: SpectralData) -> np.ndarray:
+    """Matrix G with G_ab = dS/dK_ba, i.e. dS = Tr(G dK).
+
+    Batch-first: s_k holds (..., N) spectra and G is (..., N, N).
+    """
+    g = action_gradient_eigenvalues(c, spec, s_k)
     v = s_k.eigenvectors
-    return (v * g_diag[None, :]) @ v.conj().T
+    return np.einsum("...ik,...k,...jk->...ij", v, g, v.conj())
 
 
 def _h_third(c: Coupling, md: dict) -> np.ndarray:

@@ -154,9 +154,7 @@ def g_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON,
         k = int(np.argmax(r))
         ratios.append(float(r[k]))
         samples.append({"lam": complex(c.lam), "u": complex(u[k])})
-    report = _fit_constant(np.array(ratios), samples.__getitem__, f"g-bound p={p}")
-    report.n_samples = sum(1 for _ in _pacman_couplings(p, epsilon))
-    return report
+    return _fit_constant(np.array(ratios), samples.__getitem__, f"g-bound p={p}")
 
 
 def _random_spectra(rng: np.random.Generator, n_spectra: int, big_n: int,

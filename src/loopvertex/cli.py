@@ -23,13 +23,13 @@ from .action import jacobian_pair_scan
 from .bounds import all_bound_suites
 from .contour import build_keyhole
 from .errors import ConfigError, LoopVertexError
-from .fusscatalan import FussCatalanParams, fc_eval
+from .fusscatalan import FussCatalanParams, fc_eval_many
 from .matrixcore import EnsembleSpec
 from .partition import free_energy, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
 from .trees import lve_truncated_F, single_vertex_amplitude
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CONVENTION_LEDGER = {
     "gaussian_weight": "exp(-N Tr H^2)",
@@ -64,7 +64,6 @@ class RunConfig:
     beta: int = 2
     n_max: int = 2
     mc_samples: int = 20000
-    quad_nodes: int = 64
     seed: int = 0
     output_path: str = ""
     n_list: tuple[int, ...] = field(default_factory=tuple)
@@ -86,7 +85,7 @@ class RunConfig:
             raise ConfigError("epsilon must lie in (0, pi)")
         if self.lambda_modulus > 0 and abs(self.lambda_arg) > np.pi - self.epsilon:
             raise ConfigError("arg lambda outside the pacman sector")
-        if self.mc_samples < 1 or self.quad_nodes < 1:
+        if self.mc_samples < 1:
             raise ConfigError("counts must be positive")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
@@ -95,7 +94,10 @@ class RunConfig:
 
     def coupling(self) -> Coupling:
         lam = self.lambda_modulus * np.exp(1j * self.lambda_arg)
-        return Coupling(lam=lam, epsilon=self.epsilon, p=self.p)
+        try:
+            return Coupling(lam=lam, epsilon=self.epsilon, p=self.p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def ensemble(self) -> EnsembleSpec:
         return EnsembleSpec(N=self.N, beta=self.beta)
@@ -145,7 +147,7 @@ def _write_csv(config: RunConfig, header: list[str], rows: list[list]) -> str:
 def _cmd_fc_eval(config: RunConfig):
     z = complex(config.z_re, config.z_im)
     params = FussCatalanParams(config.p)
-    t = fc_eval(params, z)
+    t = complex(fc_eval_many(params, z)[0])
     resid = abs(z * t**config.p - t + 1.0)
     ok = resid <= 1e-10 * (1.0 + abs(z * t**config.p))
     return {
@@ -168,12 +170,12 @@ def _cmd_maps_check(config: RunConfig):
 
 def _cmd_contour_check(config: RunConfig):
     c = config.coupling()
-    gamma = build_keyhole(2.0, c, n_nodes=max(config.quad_nodes, 64))
+    gamma = build_keyhole(2.0, c)
     rng = np.random.default_rng(config.seed)
     inner = rng.uniform(-0.4, 0.4, 100) * gamma.r
-    worst_in = max(abs(gamma.cauchy(complex(a)) - 1.0) for a in inner)
+    worst_in = float(np.max(np.abs(gamma.cauchy(inner) - 1.0)))
     outer = 2.0 * gamma.R * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
-    worst_out = max(abs(gamma.cauchy(complex(a))) for a in outer)
+    worst_out = float(np.max(np.abs(gamma.cauchy(outer))))
     ok = worst_in <= 1e-8 and worst_out <= 1e-8
     return {
         "results": {
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--epsilon", type=float, default=0.2)
         s.add_argument("--n-max", type=int, default=2)
         s.add_argument("--mc-samples", type=int, default=20000)
-        s.add_argument("--quad-nodes", type=int, default=64)
         s.add_argument("--seed", type=int, default=0)
         s.add_argument("--output", type=str, default="")
         s.add_argument("--z-re", type=float, default=0.0)
@@ -393,7 +394,6 @@ def config_from_args(argv: list[str]) -> RunConfig:
         beta=args.beta,
         n_max=args.n_max,
         mc_samples=args.mc_samples,
-        quad_nodes=args.quad_nodes,
         seed=args.seed,
         output_path=args.output,
         n_list=_parse_n_list(args.N_list) if args.N_list else (),

@@ -9,7 +9,9 @@ axis, which encloses any real spectrum with |mu| <= R/2 while staying
 clear of the radial cuts of the scalar map h.  Quadrature nodes carry
 their du weights, so ``sum(f(u) * du)`` approximates the contour
 integral; the 1/(2*pi*i) of the functional calculus is applied by the
-consumers.
+consumers.  The Cauchy sum takes an array of points, and holo_apply and
+min_spectrum_distance take (..., N) stacks of spectra: each is one array
+pass over the nodes or the contour pieces.
 """
 
 from __future__ import annotations
@@ -46,18 +48,14 @@ class _Arc:
     def length(self) -> float:
         return self.radius * abs(self.a1 - self.a0)
 
-    def point_distance(self, x: complex) -> float:
+    def point_distance(self, x: np.ndarray) -> np.ndarray:
         lo, hi = min(self.a0, self.a1), max(self.a0, self.a1)
-        ang = float(np.angle(x))
-        # try both 2*pi representatives of the angle
-        for a in (ang, ang + 2 * np.pi, ang - 2 * np.pi):
-            if lo <= a <= hi:
-                return abs(abs(x) - self.radius)
-        ends = [
-            self.radius * np.exp(1j * self.a0),
-            self.radius * np.exp(1j * self.a1),
-        ]
-        return min(abs(x - e) for e in ends)
+        # an angle is on the arc when its turn past lo, taken mod 2 pi, is
+        # at most the arc's span
+        on_arc = (np.angle(x) - lo) % (2 * np.pi) <= hi - lo
+        ends = self.radius * np.exp(1j * np.array([self.a0, self.a1]))
+        to_ends = np.min(np.abs(x[..., None] - ends), axis=-1)
+        return np.where(on_arc, np.abs(np.abs(x) - self.radius), to_ends)
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,10 @@ class _Segment:
     def length(self) -> float:
         return abs(self.z1 - self.z0)
 
-    def point_distance(self, x: complex) -> float:
+    def point_distance(self, x: np.ndarray) -> np.ndarray:
         d = self.z1 - self.z0
-        t = ((x - self.z0) * np.conj(d)).real / abs(d) ** 2
-        t = min(max(t, 0.0), 1.0)
-        return abs(x - (self.z0 + t * d))
+        t = np.clip(((x - self.z0) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+        return np.abs(x - (self.z0 + t * d))
 
 
 @dataclass
@@ -90,9 +87,10 @@ class KeyholeContour:
     dnodes: np.ndarray
     pieces: list = field(default_factory=list, repr=False)
 
-    def cauchy(self, a: complex) -> complex:
-        """Quadrature value of (1/2 pi i) * contour du/(u - a)."""
-        return complex(np.sum(self.dnodes / (self.nodes - a)) / (2j * np.pi))
+    def cauchy(self, a) -> np.ndarray:
+        """Quadrature values of (1/2 pi i) * contour du/(u - a), a of any shape."""
+        a = np.asarray(a, dtype=complex)
+        return np.sum(self.dnodes / (self.nodes - a[..., None]), axis=-1) / (2j * np.pi)
 
 
 def _pieces(R: float, r: float, psi: float) -> list:
@@ -178,7 +176,7 @@ def build_keyhole(
     for _ in range(MAX_DOUBLINGS + 1):
         nodes, dnodes = _quadrature(pieces, n_panels)
         gamma = KeyholeContour(R=R, r=r, psi=psi, nodes=nodes, dnodes=dnodes, pieces=pieces)
-        gaps = np.array([abs(gamma.cauchy(a) - t) for a, t in zip(probes, targets)])
+        gaps = np.abs(gamma.cauchy(probes) - targets)
         if np.all(gaps <= CAUCHY_TOL):
             break
         n_panels *= 2
@@ -200,42 +198,45 @@ def build_keyhole(
     return gamma
 
 
-def min_spectrum_distance(gamma: KeyholeContour, eigenvalues) -> float:
-    """Exact minimum distance from a real spectrum to the contour."""
+def min_spectrum_distance(gamma: KeyholeContour, eigenvalues):
+    """Exact minimum distance from a real spectrum to the contour.
+
+    Batch-first: eigenvalues is one (N,) spectrum, giving a float, or a
+    (..., N) stack, giving a (...) array of per-spectrum distances.
+    """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if np.any(np.abs(eigenvalues) > gamma.R / 2):
         raise SpectrumTooLargeError(
             f"|eigenvalue| exceeds R/2 = {gamma.R / 2}"
         )
-    d = min(
-        piece.point_distance(complex(mu))
-        for mu in eigenvalues
-        for piece in gamma.pieces
-    )
+    x = eigenvalues.astype(complex)
+    d = np.min([piece.point_distance(x) for piece in gamma.pieces], axis=(0, -1))
     floor = gamma.r * np.sin(gamma.psi)
-    if d < floor * (1.0 - 1e-12):
+    close = d < floor * (1.0 - 1e-12)
+    if np.any(close):
+        at = np.unravel_index(np.argmax(close), close.shape)
         raise ContourClearanceError(
-            f"min_spectrum_distance: spectrum {eigenvalues.tolist()} lies {d:.6e} "
-            f"from the keyhole (R={gamma.R:.6g}, r={gamma.r:.6g}, psi={gamma.psi:.6g}), "
-            f"below the clearance floor r sin(psi) = {floor:.6e}"
+            f"min_spectrum_distance: spectrum {eigenvalues[at].tolist()} lies "
+            f"{d[at]:.6e} from the keyhole (R={gamma.R:.6g}, r={gamma.r:.6g}, "
+            f"psi={gamma.psi:.6g}), below the clearance floor r sin(psi) = {floor:.6e}"
         )
-    return float(d)
+    return float(d) if d.ndim == 0 else d
 
 
 def holo_apply(scalar_fn, gamma: KeyholeContour, spectral: SpectralData) -> np.ndarray:
     """(1/2 pi i) * contour of scalar_fn(u) (u-K)^(-1) du in the eigenbasis.
 
     The normalization reproduces scalar_fn applied eigenvalue-wise, so
-    holo_apply(identity) returns K itself.
+    holo_apply(identity) returns K itself.  Batch-first: spectral holds
+    (..., N) spectra and the result is (..., N, N).
     """
     mu = spectral.eigenvalues
-    for m in mu:
-        if abs(gamma.cauchy(m) - 1.0) > CAUCHY_TOL:
-            raise QuadratureDivergenceError(
-                f"Cauchy self-test fails at eigenvalue {m}"
-            )
+    failed = np.abs(gamma.cauchy(mu) - 1.0) > CAUCHY_TOL
+    if np.any(failed):
+        bad = mu[np.unravel_index(np.argmax(failed), failed.shape)]
+        raise QuadratureDivergenceError(f"Cauchy self-test fails at eigenvalue {bad}")
     values = np.asarray(scalar_fn(gamma.nodes), dtype=complex)
-    phi = (values * gamma.dnodes)[None, :] / (gamma.nodes[None, :] - mu[:, None])
-    phi = phi.sum(axis=1) / (2j * np.pi)
+    phi = values * gamma.dnodes / (gamma.nodes - mu[..., None])
+    phi = phi.sum(axis=-1) / (2j * np.pi)
     v = spectral.eigenvectors
-    return (v * phi[None, :]) @ v.conj().T
+    return (v * phi[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -116,7 +116,7 @@ def fc_series_coeffs(params: FussCatalanParams, n_max: int) -> list[Fraction]:
     """Exact series coefficients c_0..c_n of T_p via T <- 1 + z*T^p.
 
     The truncated fixed-point iteration stabilizes coefficient k after k
-    rounds; this is the independent oracle for :func:`fc_eval`.
+    rounds; this is the independent oracle for :func:`fc_eval_many`.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -323,11 +323,6 @@ def _certified(params: FussCatalanParams, z: np.ndarray, t: np.ndarray) -> np.nd
     return (_residual(p, z, t) <= RESIDUAL_TOL) & sector & side & disk
 
 
-def fc_eval(params: FussCatalanParams, z: complex) -> complex:
-    """Principal branch of T_p at a single point off the cut."""
-    return complex(fc_eval_many(params, np.array([z]))[0])
-
-
 def fc_log_deriv_many(params: FussCatalanParams, z) -> np.ndarray:
     """Vectorized E_p(z) = T_p'(z)/T_p(z) via implicit differentiation."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -339,11 +334,6 @@ def fc_log_deriv_many(params: FussCatalanParams, z) -> np.ndarray:
             "implicit-derivative denominator 1 - p*z*T^(p-1) is nearly zero"
         )
     return t ** (p - 1) / denom
-
-
-def fc_log_deriv(params: FussCatalanParams, z: complex) -> complex:
-    """E_p(z) = T_p'(z)/T_p(z) at a single point."""
-    return complex(fc_log_deriv_many(params, np.array([z]))[0])
 
 
 def fc_cut_distance(params: FussCatalanParams, lam: complex, u) -> np.ndarray:

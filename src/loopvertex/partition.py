@@ -132,8 +132,9 @@ def _doubling(
 ) -> tuple[complex, float, int]:
     """Double the node count until the value stabilizes.
 
-    A stall raises QuadratureUnderResolvedError naming the stage, the
-    coupling, N, beta and the last gap measured between two levels.
+    A non-finite level never settles.  A stall raises
+    QuadratureUnderResolvedError naming the stage, the coupling, N, beta
+    and the last gap measured between two levels.
     """
     m = start
     prev = eval_at(m)
@@ -141,10 +142,14 @@ def _doubling(
     while m < cap:
         m *= 2
         cur = eval_at(m)
-        gap = abs(cur - prev)
-        if gap <= QUAD_REL_TOL * abs(cur):
-            return cur, gap, m
-        last = f"{gap:.3e} against |value| {abs(cur):.3e}"
+        # Python's complex abs of a nan can raise OverflowError (stale errno)
+        if np.isfinite(cur) and np.isfinite(prev):
+            gap = abs(cur - prev)
+            if gap <= QUAD_REL_TOL * abs(cur):
+                return cur, gap, m
+            last = f"{gap:.3e} against |value| {abs(cur):.3e}"
+        else:
+            last = f"none, a level is not finite ({complex(cur):.6g})"
         prev = cur
     raise QuadratureUnderResolvedError(
         f"{stage}: doubling stalled at resolution {m} (cap {cap}) for "
@@ -216,28 +221,32 @@ def _bordered(big_m: np.ndarray, m_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pfaffian(a: np.ndarray) -> complex:
-    """Pfaffian of an even-order skew-symmetric matrix (Parlett-Reid).
+def _pfaffian(a: np.ndarray) -> tuple[complex, float]:
+    """(sign, log|Pf|) of an even-order skew-symmetric matrix (Parlett-Reid).
 
     Gaussian elimination two columns at a time with a skew-symmetric
-    rank-2 update, pivoting on the largest entry below the diagonal.
+    rank-2 update, pivoting on the largest entry below the diagonal.  The
+    product of the pivots is kept as a unit phase and a log modulus, like
+    np.linalg.slogdet, so it cannot overflow at large N.
     """
     a = np.array(a, dtype=complex)
     n = len(a)
-    pf = 1.0 + 0.0j
+    sign, log_abs = 1.0 + 0.0j, 0.0
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
         if kp != k + 1:
             a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
             a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
-            pf = -pf
+            sign = -sign
         if a[k + 1, k] == 0:
-            return 0.0j
-        pf *= a[k, k + 1]
-        tau = a[k, k + 2 :] / a[k, k + 1]
+            return 0.0j, -np.inf
+        pivot = a[k, k + 1]
+        sign *= pivot / abs(pivot)
+        log_abs += np.log(abs(pivot))
+        tau = a[k, k + 2 :] / pivot
         col = a[k + 2 :, k + 1]
         a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+    return sign, log_abs
 
 
 def _engine_matrix(spec: EnsembleSpec, rows, site, weights, hw) -> np.ndarray:
@@ -284,9 +293,10 @@ def _line_estimate(
         num_rows = den_rows if x is mu else _hermite_rows(x, big_n, gauss)
         num = _engine_matrix(spec, num_rows, site, weights, hw)
         den = _engine_matrix(spec, den_rows, 1.0, weights, hw)
-        if spec.beta == 2:
-            return complex(np.linalg.det(num) / np.linalg.det(den))
-        return _pfaffian(num) / _pfaffian(den)
+        # the ratio in log form: at large N det and Pf overflow alone
+        log_form = np.linalg.slogdet if spec.beta == 2 else _pfaffian
+        (s_num, l_num), (s_den, l_den) = log_form(num), log_form(den)
+        return complex(s_num / s_den * np.exp(l_num - l_den))
 
     value, gap, n_panels = _doubling(
         eval_at, PANELS_START, PANELS_CAP, stage, c, spec
@@ -388,24 +398,16 @@ def _unit_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def free_energy(
-    c: Coupling, spec: EnsembleSpec, method: str = "quadrature", **kwargs
-) -> complex:
+def free_energy(c: Coupling, spec: EnsembleSpec) -> complex:
     """F = N^(-2) log Z.
 
-    Quadrature: on z_direct's line and at the panel level its doubling
-    accepted, log Z is the integral over t in [0, 1] of
+    On z_direct's line and at the panel level its doubling accepted,
+    log Z is the integral over t in [0, 1] of
     tr(G(t)^-1 G'(t)) (beta = 2) or tr(A(t)^-1 A'(t)) / 2 (beta = 1),
     the log-derivative of the Gram determinant or the Pfaffian at
     coupling t lam, on Gauss-Legendre t-nodes that double until the sum
     settles.  The log thus follows Z continuously from lam = 0.
-    Monte Carlo: the principal log of the estimate.
     """
-    if method != "quadrature":
-        est = z_direct(c, spec, method, **kwargs)
-        if est.error > 0.5 * abs(est.value):
-            raise VarianceBlowupError("Z estimate too noisy for a log")
-        return complex(np.log(est.value) / spec.N**2)
     lam = complex(c.lam)
     if lam == 0:
         return 0.0j

@@ -35,7 +35,7 @@ import numpy as np
 
 from .action import (
     _log_ratio_pairs,
-    action_gradient_eigenvalues,
+    action_gradient,
     action_hessian,
     map_derivatives,
 )
@@ -214,17 +214,6 @@ def bkar_x_matrix(t: LabeledTree, w: WeakeningVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched gradient machinery (beta = 2)
-
-
-def _gradient_batch(c: Coupling, s: SpectralData) -> np.ndarray:
-    """action_gradient matrices for a batch of (..., N) beta = 2 spectra."""
-    g = action_gradient_eigenvalues(c, EnsembleSpec(N=s.dim, beta=2), s)
-    v = s.eigenvectors
-    return np.einsum("...ik,...k,...jk->...ij", v, g, v.conj())
-
-
-# ---------------------------------------------------------------------------
 # amplitudes
 
 
@@ -384,8 +373,8 @@ def _two_vertex_values(c, spec, rng, m) -> np.ndarray:
     g = sample_gaussian_batch(spec, rng, 2 * m)
     g1, g2 = g[:m], g[m:]
     k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
-    grad1 = _gradient_batch(c, eigh(g1))
-    grad2 = _gradient_batch(c, eigh(k2))
+    grad1 = action_gradient(c, spec, eigh(g1))
+    grad2 = action_gradient(c, spec, eigh(k2))
     return np.einsum("bij,bji->b", grad1, grad2)
 
 
@@ -397,8 +386,8 @@ def _three_vertex_values(c, spec, t, rng, m) -> np.ndarray:
     w = rng.uniform(size=(len(t.edges), m))
     x = bkar_x_matrix(t, WeakeningVector(dict(zip(t.edges, w))))
     s = eigh(sample_replicas(spec, x, rng))  # (m, 3, N) spectra
-    grads = _gradient_batch(
-        c, SpectralData(s.eigenvalues[:, outer], s.eigenvectors[:, outer])
+    grads = action_gradient(
+        c, spec, SpectralData(s.eigenvalues[:, outer], s.eigenvectors[:, outer])
     )
     s_mid = SpectralData(s.eigenvalues[:, mid], s.eigenvectors[:, mid])
     dg = action_hessian(c, spec, s_mid, grads[:, 1])

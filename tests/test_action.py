@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopvertex.action import (
@@ -20,9 +20,9 @@ from loopvertex.action import (
     sigma_contour,
     sigma_direct,
 )
-from loopvertex.contour import build_keyhole
+from loopvertex.contour import build_keyhole, holo_apply, min_spectrum_distance
 from loopvertex.errors import LogBranchAmbiguityError, PoleCollisionError
-from loopvertex.matrixcore import EnsembleSpec, eigh
+from loopvertex.matrixcore import EnsembleSpec, SpectralData, eigh, sample_gaussian_batch
 from loopvertex.scalarmaps import Coupling, eval_map
 
 
@@ -395,3 +395,46 @@ def test_h_third_matches_mpmath_closed_form():
                 lam_mp = mpmath.mpc(lam)
                 ref = complex(mpmath.diff(lambda v: h(v, lam_mp), mpmath.mpc(ui), 3))
                 assert abs(gi - ref) <= 1e-10 * abs(ref), (lam, ui, gi, ref)
+
+
+_BATCH_COUPLINGS = (Coupling(lam=0.05, p=2), Coupling(lam=0.05 * np.exp(1.2j), p=3))
+
+
+@pytest.fixture(scope="module")
+def batch_keyholes():
+    return [build_keyhole(2.0, c) for c in _BATCH_COUPLINGS]
+
+
+def _batch_first_values(c, spec, gamma, s):
+    return {
+        "action_gradient": action_gradient(c, spec, s),
+        "action_split": np.stack(action_split(c, s), axis=-1),
+        "sigma_contour": sigma_contour(c, gamma, s),
+        "holo_apply": holo_apply(lambda u: eval_map("h", c, u), gamma, s),
+        "cauchy": gamma.cauchy(s.eigenvalues),
+        "min_spectrum_distance": min_spectrum_distance(gamma, s.eigenvalues),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    beta=st.sampled_from([1, 2]),
+    size=st.integers(1, 4),
+    n=st.integers(1, 4),
+    which=st.integers(0, len(_BATCH_COUPLINGS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_first_equals_row_by_row(batch_keyholes, beta, size, n, which, seed):
+    c, gamma = _BATCH_COUPLINGS[which], batch_keyholes[which]
+    spec = EnsembleSpec(N=n, beta=beta)
+    s = eigh(0.3 * sample_gaussian_batch(spec, np.random.default_rng(seed), size))
+    # on these radius-2 keyholes holo_apply's Cauchy self-test passes for
+    # |mu| < 0.93 only, and fails in bands from there to 1.86
+    assume(np.all(np.abs(s.eigenvalues) < 0.9))
+    batch = _batch_first_values(c, spec, gamma, s)
+    for k in range(size):
+        row = SpectralData(s.eigenvalues[k], s.eigenvectors[k])
+        for name, value in _batch_first_values(c, spec, gamma, row).items():
+            np.testing.assert_allclose(
+                batch[name][k], value, rtol=1e-13, atol=1e-15, err_msg=name
+            )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loopvertex.action import jacobian_check
+from loopvertex.contour import build_keyhole
 from loopvertex.cli import (
     COMMANDS,
     SCHEMA_VERSION,
@@ -55,6 +56,8 @@ def test_config_errors_exit_2(tmp_path, monkeypatch):
     assert code == 2
     assert run_cli(["fc-eval", "--p", "1"], tmp_path, monkeypatch) == 2
     assert run_cli(["fc-eval", "--beta", "3"], tmp_path, monkeypatch) == 2
+    # |lambda| above eta is rejected by Coupling
+    assert run_cli(["z-identity", "--lambda-modulus", "0.7"], tmp_path, monkeypatch) == 2
 
 
 def test_fc_eval_json_document(tmp_path, monkeypatch):
@@ -214,6 +217,28 @@ def _old_jacobian_check(config):
     }
 
 
+def _old_contour_check(config):
+    """contour-check with --quad-nodes at its default 64 and a per-point Cauchy loop."""
+    gamma = build_keyhole(2.0, config.coupling(), n_nodes=64)
+    rng = np.random.default_rng(config.seed)
+    inner = rng.uniform(-0.4, 0.4, 100) * gamma.r
+    worst_in = max(abs(complex(gamma.cauchy(complex(a))) - 1.0) for a in inner)
+    outer = 2.0 * gamma.R * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
+    worst_out = max(abs(complex(gamma.cauchy(complex(a)))) for a in outer)
+    ok = worst_in <= 1e-8 and worst_out <= 1e-8
+    return {
+        "results": {
+            "R": gamma.R,
+            "r": gamma.r,
+            "psi": gamma.psi,
+            "n_nodes": len(gamma.nodes),
+            "max_interior_defect": worst_in,
+            "max_exterior_defect": worst_out,
+        },
+        "checks": {"cauchy_identity": bool(ok)},
+    }
+
+
 @pytest.mark.parametrize("argv,old_body", [
     (["maps-check", "--lambda-modulus", "0.1", "--seed", "3"], _old_maps_check),
     (["maps-check", "--p", "3", "--lambda-modulus", "0.05", "--lambda-arg", "2.0",
@@ -222,6 +247,9 @@ def _old_jacobian_check(config):
      _old_jacobian_check),
     (["jacobian-check", "--p", "3", "--lambda-modulus", "0.3", "--N", "4", "--seed", "2"],
      _old_jacobian_check),
+    (["contour-check", "--lambda-modulus", "0.05", "--seed", "4"], _old_contour_check),
+    (["contour-check", "--p", "3", "--lambda-modulus", "0.1", "--lambda-arg", "2.5",
+      "--seed", "9"], _old_contour_check),
 ])
 def test_batched_commands_match_old_loops_byte_for_byte(argv, old_body, tmp_path):
     new_cfg = config_from_args(argv + ["--output", str(tmp_path / "new")])

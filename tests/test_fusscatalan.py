@@ -12,9 +12,7 @@ from loopvertex.fusscatalan import (
     CutGeometry,
     FussCatalanParams,
     fc_cut_distance,
-    fc_eval,
     fc_eval_many,
-    fc_log_deriv,
     fc_log_deriv_many,
     fc_series_coeffs,
     cut_distance_to_positive_ray,
@@ -86,7 +84,7 @@ def test_series_newton_consistency_inside_disk():
 
 
 def test_value_at_origin_and_branch_point_location():
-    assert fc_eval(FussCatalanParams(2), 0.0) == pytest.approx(1.0)
+    assert fc_eval_many(FussCatalanParams(2), 0.0)[0] == pytest.approx(1.0)
     assert FussCatalanParams(2).branch_point == pytest.approx(0.25)
     assert FussCatalanParams(3).branch_point == pytest.approx(4.0 / 27.0)
 
@@ -102,16 +100,16 @@ def test_conjugation_symmetry():
 def test_cut_rejection():
     params = FussCatalanParams(2)
     with pytest.raises(CutProximityError):
-        fc_eval(params, 0.3)  # on the cut [1/4, inf)
+        fc_eval_many(params, 0.3)[0]  # on the cut [1/4, inf)
 
 
 def test_log_deriv_values():
-    assert fc_log_deriv(FussCatalanParams(2), 0.0) == pytest.approx(1.0)
-    assert fc_log_deriv(FussCatalanParams(3), 0.0) == pytest.approx(1.0)
+    assert fc_log_deriv_many(FussCatalanParams(2), 0.0)[0] == pytest.approx(1.0)
+    assert fc_log_deriv_many(FussCatalanParams(3), 0.0)[0] == pytest.approx(1.0)
     # z = 0.1 below the p=2 branch point 0.25
     t = catalan_closed_form(0.1 + 0j)
     expected = t / (1.0 - 2 * 0.1 * t)
-    got = fc_log_deriv(FussCatalanParams(2), 0.1)
+    got = fc_log_deriv_many(FussCatalanParams(2), 0.1)[0]
     assert got == pytest.approx(complex(expected), rel=1e-10)
     assert got.real == pytest.approx(1.4550, abs=5e-4)
 
@@ -120,9 +118,10 @@ def test_log_deriv_matches_finite_difference():
     params = FussCatalanParams(3)
     for z in (0.05 + 0.02j, -0.3 + 0.1j, 1.0j):
         step = 1e-6
-        tp = (fc_eval(params, z + step) - fc_eval(params, z - step)) / (2 * step)
-        e_fd = tp / fc_eval(params, z)
-        e = fc_log_deriv(params, z)
+        t_plus, t_minus = fc_eval_many(params, z + step)[0], fc_eval_many(params, z - step)[0]
+        tp = (t_plus - t_minus) / (2 * step)
+        e_fd = tp / fc_eval_many(params, z)[0]
+        e = fc_log_deriv_many(params, z)[0]
         assert abs(e - e_fd) / abs(e) <= 1e-6
 
 
@@ -222,7 +221,7 @@ NEAR_CUT_MISSES = (
     (5, 0.248399 + 1.0723e-4j),
 ))
 def test_near_cut_points_land_on_principal_branch(p, z):
-    t = fc_eval(FussCatalanParams(p), z)
+    t = fc_eval_many(FussCatalanParams(p), z)[0]
     ref = reference(p, z)
     assert abs(t - ref) <= 1e-8 * abs(ref)
     assert_principal(p, z, t)
@@ -241,7 +240,7 @@ def test_principal_branch_property(p, log_modulus, log_angle, side):
     # the uniform-step reference needs room around the branch point
     assume(abs(z - bp) > 1e-3 * bp)
     assume(cut_distance_to_positive_ray(FussCatalanParams(p), z) >= 1e-7)
-    t = fc_eval(FussCatalanParams(p), z)
+    t = fc_eval_many(FussCatalanParams(p), z)[0]
     ref = reference(p, z)
     assert abs(t - ref) <= 1e-8 * abs(ref), (p, z, t, ref)
     assert_principal(p, z, t)
@@ -263,7 +262,7 @@ def test_dense_fallback_repairs_uncertified_seeds(monkeypatch):
     monkeypatch.setattr(fusscatalan, "_continue", counted)
     for p, z in NEAR_CUT_MISSES + ((2, -40.0 + 3.0j), (4, 7.0j)):
         calls.clear()
-        t = fc_eval(FussCatalanParams(p), z)
+        t = fc_eval_many(FussCatalanParams(p), z)[0]
         assert calls == [(fusscatalan.DENSE_STEPS, 1)], (p, z, calls)
         ref = reference(p, z)
         assert abs(t - ref) <= 1e-8 * abs(ref)
@@ -283,7 +282,7 @@ def test_non_convergence_error_names_p_point_and_residual(monkeypatch):
     monkeypatch.setattr(fusscatalan, "END_NEWTON", 0)
     with pytest.raises(NonConvergenceError,
                        match=r"p=3: .* at z=\(0\.2\+0\.1j\) .*residual \d\.\d{3}e[-+]\d+"):
-        fc_eval(FussCatalanParams(3), 0.2 + 0.1j)
+        fc_eval_many(FussCatalanParams(3), 0.2 + 0.1j)[0]
 
 
 def test_certificate_accepts_exactly_the_principal_root():
@@ -302,7 +301,7 @@ def test_certificate_accepts_exactly_the_principal_root():
             roots = fusscatalan._newton(p, np.full(p, zz), roots, 2)
             passed = roots[fusscatalan._certified(params, np.full(p, zz), roots)]
             assert passed.size == 1, (p, zz, roots)
-            assert abs(passed[0] - fc_eval(params, zz)) <= 1e-10 * abs(passed[0])
+            assert abs(passed[0] - fc_eval_many(params, zz)[0]) <= 1e-10 * abs(passed[0])
 
 
 def test_shape_kept_across_zones():

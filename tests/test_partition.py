@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,26 @@ def test_stall_error_names_stage_input_and_gap(monkeypatch):
     # one doubling that does not settle reports the gap it measured
     with pytest.raises(QuadratureUnderResolvedError, match=r"last gap 1\.000e\+00"):
         partition._doubling(float, 1, 2, "probe", c, spec)
+    # a non-finite level never settles and is named as such
+    with pytest.raises(QuadratureUnderResolvedError, match="a level is not finite"):
+        partition._doubling(lambda m: complex("nan"), 1, 2, "probe", c, spec)
+
+
+@pytest.mark.parametrize("lam, n, beta", [
+    # det overflowed, every level was nan, and complex abs raised OverflowError
+    (0.05 * np.exp(1j * (np.pi - 0.4)), 48, 2),
+    # the Pfaffian ratio overflowed with RuntimeWarnings before the stall
+    (0.05, 64, 1),
+], ids=["beta2-N48-rotated", "beta1-N64-real"])
+def test_large_n_stall_raises_typed_error_without_warnings(lam, n, beta):
+    c = Coupling(lam=lam, p=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureUnderResolvedError) as exc:
+            z_direct(c, EnsembleSpec(N=n, beta=beta))
+    msg = str(exc.value)
+    for field in (f"lam={complex(c.lam):.6g}", f"N={n}", f"beta={beta}"):
+        assert field in msg, (field, msg)
 
 
 def test_mc_values_pinned_at_fixed_seeds():
@@ -252,7 +273,7 @@ def test_free_energy_value_and_guard():
     f = free_energy(c, spec)
     assert f == pytest.approx(complex(np.log(z_direct(c, spec).value)), rel=1e-10)
     with pytest.raises(VarianceBlowupError):
-        free_energy(
+        z_direct(
             Coupling(lam=0.45, p=3), EnsembleSpec(N=5, beta=2),
             method="monte_carlo", n_samples=200, seed=0,
         )
@@ -345,4 +366,6 @@ def test_pfaffian_squares_to_determinant(n, seed):
     a = partition._bordered(g - g.T, m)
     assert a.shape[0] % 2 == 0
     hadamard = np.prod(np.linalg.norm(a, axis=1))
-    assert abs(partition._pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * hadamard
+    sign, log_abs = partition._pfaffian(a)
+    assert abs(sign) == pytest.approx(1.0, abs=1e-12)
+    assert abs(sign**2 * np.exp(2 * log_abs) - np.linalg.det(a)) <= 1e-12 * hadamard
