@@ -13,14 +13,14 @@ for beta = 1 de Bruijn's identity gives the Pfaffian of the ordered pair
 integrals (bordered by the moment vector when N is odd), reduced by
 Parlett-Reid elimination (Wimmer, ACM TOMS 38, 2012).  The functions are
 the orthonormal Hermite polynomials of exp(-N mu^2), so the Gram matrix
-stays near the identity whatever N is.  The line is the real axis
-(zeta = 0) unless the coupling needs it rotated: Re(lam) < 0 for the
-direct weight, a cut ray of the scalar maps near the real axis for the
-change of variables.  Composite 16-node Gauss-Legendre panels cover the
-bulk edge sqrt(2) plus 8.5 Gaussian scales and double until the ratio
-settles; the rule and its spectral integration matrix (the running
-integral of each panel's interpolant at its nodes) are built once at
-import, so a panel integral is one matrix product.  The single-vertex
+stays near the identity whatever N is.  The change of variables always
+runs on the real axis (zeta = 0): its weight is the Gaussian exp(-N mu^2)
+whatever lam is.  Only the direct weight tilts its line, once Re(lam) < 0
+makes it diverge on the real axis.  Composite 16-node Gauss-Legendre
+panels cover the bulk edge sqrt(2) plus 8.5 Gaussian scales and double
+until the ratio settles; the rule and its spectral integration matrix
+(the running integral of each panel's interpolant at its nodes) are
+built once at import, so a panel integral is one matrix product.  The single-vertex
 amplitude (trees.py) uses the same panels and Hermite recurrence.
 
 log Z is the integral over t in [0, 1] of the log-derivative of the
@@ -53,8 +53,6 @@ QUAD_REL_TOL = 1e-6
 HALF_WIDTH_SIGMAS = 8.5
 #: rotate the eigenvalue line once |arg lambda| exceeds pi/2 minus this
 TILT_MARGIN = 0.15
-#: largest allowed |2 zeta| below pi/2, keeping Gaussian decay on the line
-MAX_DOUBLE_ANGLE = np.pi / 2 - 0.3
 
 #: panel rule of the determinantal engine: Gauss-Legendre on [-1, 1]
 GL_ORDER = 16
@@ -107,32 +105,13 @@ def _tilt_angle(lam: complex, p: int) -> float:
     return -alpha / (2 * p)
 
 
-def _map_rotation(c: Coupling) -> float:
-    """Eigenvalue-line rotation keeping the scalar maps well-converged.
-
-    The cut rays of h sit at angles base + k pi/(p-1); quadrature on the
-    real line converges slowly when a ray hugs it.  Rotating to the
-    bisector of the two rays bracketing the real axis maximizes the
-    analyticity strip, clipped so the Gaussian factor still decays.
-    """
-    lam = complex(c.lam)
-    alpha = float(np.angle(lam))
-    if alpha == 0.0:
-        return 0.0
-    spacing = np.pi / (c.p - 1)
-    base = (np.pi - alpha) / (2 * c.p - 2)
-    delta = base % spacing
-    psi = delta - spacing / 2.0
-    limit = MAX_DOUBLE_ANGLE / 2.0
-    return float(np.clip(psi, -limit, limit))
-
-
 def _doubling(
     eval_at, start: int, cap: int, stage: str, c: Coupling, spec: EnsembleSpec
 ) -> tuple[complex, float, int]:
     """Double the node count until the value stabilizes.
 
-    A non-finite level never settles.  A stall raises
+    A non-finite or zero level never settles: Z has no zero in the pacman
+    domain, so a zero level is an underflow.  A stall raises
     QuadratureUnderResolvedError naming the stage, the coupling, N, beta
     and the last gap measured between two levels.
     """
@@ -143,13 +122,13 @@ def _doubling(
         m *= 2
         cur = eval_at(m)
         # Python's complex abs of a nan can raise OverflowError (stale errno)
-        if np.isfinite(cur) and np.isfinite(prev):
+        if np.isfinite(cur) and np.isfinite(prev) and cur != 0:
             gap = abs(cur - prev)
             if gap <= QUAD_REL_TOL * abs(cur):
                 return cur, gap, m
             last = f"{gap:.3e} against |value| {abs(cur):.3e}"
         else:
-            last = f"none, a level is not finite ({complex(cur):.6g})"
+            last = f"none, a level is not finite or is zero ({complex(cur):.6g})"
         prev = cur
     raise QuadratureUnderResolvedError(
         f"{stage}: doubling stalled at resolution {m} (cap {cap}) for "
@@ -388,7 +367,7 @@ def z_lvr(
         md = map_derivatives(c, mu)
         return md["h"], md["hp"]
 
-    return _line_estimate(c, spec, _map_rotation(c), family, "z_lvr quadrature")
+    return _line_estimate(c, spec, 0.0, family, "z_lvr quadrature")
 
 
 @functools.lru_cache(maxsize=16)

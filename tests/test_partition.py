@@ -164,7 +164,8 @@ def test_panel_rule_and_integration_matrix():
 
 # (p, beta, N, |lam|, arg lam / pi, z_direct, z_lvr) from the former
 # legfit/legint/legval panel integrals; beta = 1, N >= 2 is the Pfaffian
-# path, arg 0 the real line, the rest rotated lines
+# path; z_lvr runs on the real line, z_direct on a rotated line at arg 0.75
+# and -0.75
 _Z_PINNED = [
     (2, 1, 2, 0.1, 0.0, 0.8877973530465473 + 0j, 0.8877973530465468 + 0j),
     (2, 1, 3, 0.1, 0.0, 0.8164895016965388 + 0j, 0.8164895016965379 + 0j),
@@ -213,7 +214,13 @@ def test_stall_error_names_stage_input_and_gap(monkeypatch):
     (0.05 * np.exp(1j * (np.pi - 0.4)), 48, 2),
     # the Pfaffian ratio overflowed with RuntimeWarnings before the stall
     (0.05, 64, 1),
-], ids=["beta2-N48-rotated", "beta1-N64-real"])
+    # the ratio underflowed to 0 at every level, and two zeros "agreed"
+    (0.05 * np.exp(1j * (np.pi - 0.4)), 64, 2),
+    (0.05 * np.exp(-1j * (np.pi - 0.4)), 64, 2),
+    (0.05 * np.exp(1j * (np.pi - 0.4)), 96, 2),
+    (0.05 * np.exp(-1j * (np.pi - 0.4)), 96, 2),
+], ids=["beta2-N48-rotated", "beta1-N64-real", "beta2-N64-zero+",
+        "beta2-N64-zero-", "beta2-N96-zero+", "beta2-N96-zero-"])
 def test_large_n_stall_raises_typed_error_without_warnings(lam, n, beta):
     c = Coupling(lam=lam, p=2)
     with warnings.catch_warnings():
@@ -299,12 +306,62 @@ def test_unresolved_lines_raise_naming_their_input():
     # beyond the engine's reach a doubling stalls; it never returns a value
     cases = [
         (z_direct, Coupling(lam=0.05 * np.exp(1j * (np.pi - 0.4)), p=2), 16, 2),
-        (z_lvr, Coupling(lam=0.05 * np.exp(1.2j), p=2), 16, 2),
+        (z_lvr, Coupling(lam=0.2 * np.exp(1j * (np.pi - 0.4)), p=2), 64, 2),
         (z_direct, Coupling(lam=0.05, p=2), 32, 1),
     ]
     for fn, c, n, beta in cases:
         with pytest.raises(QuadratureUnderResolvedError, match=f"N={n}, beta={beta}"):
             fn(c, EnsembleSpec(N=n, beta=beta))
+
+
+@pytest.mark.parametrize("arg", [1.2, np.pi / 2, np.pi - 0.4])
+def test_lvr_real_line_reaches_n96_off_the_axis(arg):
+    # the change of variables keeps the Gaussian weight whatever lam is;
+    # at arg 1.2 z_direct is on the real line too
+    c = Coupling(lam=0.05 * np.exp(1j * arg), p=2)
+    for n in (16, 32, 64, 96):
+        b = z_lvr(c, EnsembleSpec(N=n, beta=2)).value
+        if arg == 1.2 and n <= 64:
+            a = z_direct(c, EnsembleSpec(N=n, beta=2)).value
+            assert abs(a - b) / abs(a) <= 1e-8, n
+
+
+def _hankel_z_ratio(lam, n):
+    """Z(lam, N)/Z(0, N) at p = 2, beta = 2 in mpmath at 30 + 2N digits.
+
+    Andreief's identity makes Z a Hankel determinant of the moments of
+    exp(-N x^2 - b x^4), b = N lam; the 2k-th moment is
+    integral_0^inf s^(nu-1) exp(-N s - b s^2) ds, nu = k + 1/2, which is
+    (2b)^(-nu/2) Gamma(nu) exp(N^2/(8b)) D_(-nu)(N/sqrt(2b)) (DLMF 12.5.1),
+    analytic in b off the negative axis, so it continues Z to the sector.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30 + 2 * n):
+        big_n = mpmath.mpf(n)
+
+        def moment(k, b):
+            nu = k + mpmath.mpf(1) / 2
+            if b == 0:
+                return mpmath.gamma(nu) / big_n**nu
+            return ((2 * b) ** (-nu / 2) * mpmath.gamma(nu)
+                    * mpmath.exp(big_n**2 / (8 * b))
+                    * mpmath.pcfd(-nu, big_n / mpmath.sqrt(2 * b)))
+
+        def hankel_det(b):
+            m = [moment(k // 2, b) if k % 2 == 0 else 0 for k in range(2 * n - 1)]
+            return mpmath.det(mpmath.matrix(
+                [[m[i + j] for j in range(n)] for i in range(n)]))
+
+        return complex(hankel_det(big_n * mpmath.mpc(lam.real, lam.imag))
+                       / hankel_det(0))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_lvr_real_line_meets_hankel_oracle_near_sector_edge(n):
+    lam = 0.05 * np.exp(1j * (np.pi - 0.4))
+    ref = _hankel_z_ratio(lam, n)
+    got = z_lvr(Coupling(lam=lam, p=2), EnsembleSpec(N=n, beta=2)).value
+    assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
 def _planar_free_energy(lam):
