@@ -247,14 +247,15 @@ def _outer_coeffs(p: int, n_max: int) -> np.ndarray:
     Lagrange inversion gives
     ``a_m = (-1)^m prod_{j=1}^{m-1} (m + 1 - j p) / (p^m m!)``, and
     ``T_p(z) = w S(w)`` with ``w = (-z)^(-1/p)``; the series converges
-    for ``|z| > branch_point``.
+    for ``|z| > branch_point``.  Python's int / int true division is
+    correctly rounded, so each float equals float(Fraction(...)).
     """
     key = (p, n_max)
     if key not in _OUTER_CACHE:
         _OUTER_CACHE[key] = np.array(
             [
-                float(Fraction((-1) ** m * math.prod(m + 1 - j * p for j in range(1, m)),
-                               p**m * math.factorial(m)))
+                (-1) ** m * math.prod(m + 1 - j * p for j in range(1, m))
+                / (p**m * math.factorial(m))
                 for m in range(n_max + 1)
             ]
         )

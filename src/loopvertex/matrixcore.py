@@ -21,6 +21,7 @@ from .errors import NonHermitianError, NotPSDError
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,46 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True when every matrix of the (..., N, N) stack m is Hermitian.
+def _eigh_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectral decomposition of a (..., 2, 2) Hermitian stack.
 
-    Each matrix is held to tol times max(1, its Frobenius norm).
+    With b = |b| e^(i phi) read from the lower entry (as LAPACK reads it)
+    and D = diag(1, e^(i phi)), [[a, b], [conj b, d]] = D^H M D with M
+    real symmetric, and one Jacobi rotation, tan 2 theta = 2|b| / (a - d),
+    diagonalizes M.  The angle is taken from (a - d)/2 and |b| divided by
+    the larger of the two, and the larger of cos theta and sin theta from
+    its half-angle form, the other from cos theta sin theta = |b| / 2r, so
+    neither loses digits, not even to subnormal entries.  Eigenvalues
+    ascend; real input gives real eigenvectors.
     """
-    m = np.asarray(m)
-    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    return bool(np.all(np.abs(m - _adjoint(m)) <= tol * scale[..., None, None]))
+    a, d, lower = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    mod = np.abs(lower)
+    half_gap = 0.5 * a - 0.5 * d
+    k = np.maximum(np.abs(half_gap), mod)
+    live = k > 0
+    k_safe = np.where(live, k, 1.0)
+    gap1 = np.where(live, np.abs(half_gap) / k_safe, 1.0)  # a = d, b = 0: no rotation
+    mod1 = mod / k_safe
+    r1 = np.sqrt(gap1 * gap1 + mod1 * mod1)  # in [1, sqrt 2]: no overflow
+    big = np.sqrt(0.5 + 0.5 * gap1 / r1)
+    small = mod1 / (2.0 * r1 * big)
+    ahead = half_gap >= 0
+    c, s = np.where(ahead, big, small), np.where(ahead, small, big)
+    # e^(-i phi) = lower / |b|, real +-1 for real input
+    mod_safe = np.where(mod > 0, mod, 1.0)
+    if np.iscomplexobj(lower) and np.any(mod_safe < _TINY):
+        # a subnormal |b| rounds to its grid, and complex division by it
+        # overflows: divide the parts apart and renormalize
+        re, im = lower.real / mod_safe + (mod == 0), lower.imag / mod_safe
+        phase = (re + 1j * im) / np.sqrt(re * re + im * im)
+    else:
+        phase = lower / mod_safe + (mod == 0)
+    mean, r = 0.5 * a + 0.5 * d, k * r1
+    w = np.stack([mean - r, mean + r], axis=-1)
+    v = np.empty(m.shape, dtype=np.result_type(m.dtype, w.dtype))
+    v[..., 0, 0], v[..., 0, 1] = -s, c
+    v[..., 1, 0], v[..., 1, 1] = c * phase, s * phase
+    return w, v
 
 
 def eigh(m: np.ndarray) -> SpectralData:
@@ -74,14 +107,26 @@ def eigh(m: np.ndarray) -> SpectralData:
 
     Batch-first: m is a (..., N, N) stack, checked in one vectorized
     pass and decomposed by one call; the result holds (..., N)
-    eigenvalues and (..., N, N) eigenvectors.
+    eigenvalues and (..., N, N) eigenvectors.  A 2 x 2 stack takes the
+    closed form of _eigh_2x2, larger matrices LAPACK.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise NonHermitianError("matrix violates the hermiticity invariant")
-    w, v = np.linalg.eigh(m)
+    defect = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
+    allowed = HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if not np.all(defect <= allowed):
+        worst = np.unravel_index(np.argmax(defect / allowed), defect.shape)  # a NaN defect wins
+        where = f"matrix {tuple(int(i) for i in worst)} of the stack" if worst else "matrix"
+        raise NonHermitianError(
+            f"{where} violates the hermiticity invariant: max|m - m^H| = "
+            f"{defect[worst]:.3g} exceeds {HERMITICITY_TOL:g} * max(1, ||m||_F) "
+            f"= {allowed[worst]:.3g}"
+        )
+    if m.shape[-1] == 2:
+        w, v = _eigh_2x2(m)
+    else:
+        w, v = np.linalg.eigh(m)
     return SpectralData(eigenvalues=w, eigenvectors=v)
 
 

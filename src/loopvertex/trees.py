@@ -16,7 +16,8 @@ Amplitudes of trees with n >= 2 are Monte Carlo averages drawn as
 arrays: every sample has its own weakening vector, bkar_x_matrix turns
 the batch of vectors into a stack of interpolation matrices,
 sample_replicas draws one replica family per matrix, and one eigh (with
-its hermiticity guard) serves the whole replica stack.  A degree-1
+its hermiticity guard; a closed form at N = 2, LAPACK above) serves the
+whole replica stack.  A degree-1
 vertex carries the action gradient G(K); the middle vertex of a 3-path
 carries the exact directional Hessian D G(K)[X] (action.action_hessian),
 so n <= 3 needs no finite differences.

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_principal_branch_property(p, log_modulus, log_angle, side):
     ref = reference(p, z)
     assert abs(t - ref) <= 1e-8 * abs(ref), (p, z, t, ref)
     assert_principal(p, z, t)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_outer_coeffs_equal_rounded_fractions(p, monkeypatch):
+    # int / int true division rounds correctly, as float(Fraction) does
+    monkeypatch.setattr(fusscatalan, "_OUTER_CACHE", {})
+    oracle = [
+        float(Fraction((-1) ** m * math.prod(m + 1 - j * p for j in range(1, m)),
+                       p**m * math.factorial(m)))
+        for m in range(fusscatalan.OUTER_TERMS + 1)
+    ]
+    assert fusscatalan._outer_coeffs(p, fusscatalan.OUTER_TERMS).tolist() == oracle
 
 
 def test_dense_fallback_repairs_uncertified_seeds(monkeypatch):

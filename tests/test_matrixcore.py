@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from loopvertex import matrixcore
 from loopvertex.errors import NonHermitianError, NotPSDError
 from loopvertex.matrixcore import (
+    HERMITICITY_TOL,
     EnsembleSpec,
     covariances,
     eigh,
@@ -30,15 +34,70 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.ones(3))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigh_guard_names_the_worst_matrix(n):
+    stack = np.zeros((2, 3, n, n), dtype=complex)
+    stack[1, 2, 0, 1] = 1e-9  # worst: defect 1e-9 against the allowance 1e-12
+    stack[0, 1, 1, 0] = 1e-11
+    with pytest.raises(NonHermitianError, match=r"matrix \(1, 2\) of the stack") as exc:
+        matrixcore.eigh(stack)
+    msg = str(exc.value)
+    assert "max|m - m^H| = 1e-09" in msg
+    assert f"{HERMITICITY_TOL:g} * max(1, ||m||_F) = 1e-12" in msg
+    # a lone matrix has no stack index; the allowance scales with its norm
+    big = 10.0 * np.eye(n)
+    big[0, n - 1] = 1e-9
+    with pytest.raises(NonHermitianError, match=r"^matrix violates") as exc:
+        matrixcore.eigh(big)
+    assert f"= {HERMITICITY_TOL * np.linalg.norm(big):.3g}" in str(exc.value)
+
+
+_ENTRY = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=_ENTRY, d=_ENTRY, b_re=_ENTRY, b_im=_ENTRY,
+    b_scale=st.integers(-12, 0), scale=st.integers(-30, 30), complex_input=st.booleans(),
+)
+@example(a=0.5, d=-0.25, b_re=0.0, b_im=0.0, b_scale=0, scale=0, complex_input=False)
+@example(a=-0.25, d=0.5, b_re=0.0, b_im=0.0, b_scale=0, scale=0, complex_input=True)
+@example(a=0.3, d=0.3, b_re=0.0, b_im=0.0, b_scale=0, scale=0, complex_input=True)
+@example(a=0.9, d=-0.9, b_re=0.7, b_im=-0.4, b_scale=-12, scale=0, complex_input=True)
+@example(a=0.9, d=-0.9, b_re=-0.7, b_im=0.0, b_scale=-12, scale=30, complex_input=False)
+@example(a=1.0, d=1e-6, b_re=1e-3, b_im=1e-3, b_scale=0, scale=-30, complex_input=True)
+# subnormal |b|, alone and beside a diagonal of order one
+@example(a=0.0, d=0.0, b_re=0.0, b_im=1.7648263912391071e-298, b_scale=0, scale=-11,
+         complex_input=True)
+@example(a=0.0, d=0.0, b_re=1.7648263912391071e-298, b_im=0.0, b_scale=0, scale=-12,
+         complex_input=False)
+@example(a=1.0, d=1.0, b_re=3e-300, b_im=-2e-300, b_scale=-12, scale=0, complex_input=True)
+def test_eigh_2x2_closed_form_matches_lapack(a, d, b_re, b_im, b_scale, scale, complex_input):
+    b = (b_re + 1j * b_im if complex_input else b_re) * 10.0**b_scale
+    m = np.array([[a, b], [np.conj(b), d]]) * 10.0**scale
+    assert m.dtype == (complex if complex_input else float)
+    s = matrixcore.eigh(m[None])
+    w_ref, v_ref = np.linalg.eigh(m[None])
+    assert s.eigenvalues.dtype == w_ref.dtype and s.eigenvectors.dtype == v_ref.dtype
+    w, v = s.eigenvalues[0], s.eigenvectors[0]
+    # entry-wise scale: np.linalg.norm underflows once entries reach 1e-160
+    tol = 16 * np.finfo(float).eps * np.max(np.abs(m)) + 1e-300
+    assert w[0] <= w[1]
+    assert np.max(np.abs(w - w_ref[0])) <= tol
+    assert np.max(np.abs(s.reconstruct()[0] - m)) <= tol
+    assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 8 * np.finfo(float).eps
+
+
 def test_eigh_batch_matches_single_matrices():
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    k = (a + np.swapaxes(a.conj(), -1, -2)) / 2
-    s = eigh(k)
-    assert s.eigenvalues.shape == (2, 3, 4) and s.dim == 4
-    assert np.max(np.abs(s.reconstruct() - k)) <= 1e-12
-    single = eigh(k[1, 2])
-    assert np.allclose(s.eigenvalues[1, 2], single.eigenvalues, rtol=0, atol=1e-14)
+    for n in (4, 2):  # LAPACK and the closed form
+        a = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        k = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+        s = eigh(k)
+        assert s.eigenvalues.shape == (2, 3, n) and s.dim == n
+        assert np.max(np.abs(s.reconstruct() - k)) <= 1e-12
+        single = eigh(k[1, 2])
+        assert np.allclose(s.eigenvalues[1, 2], single.eigenvalues, rtol=0, atol=1e-14)
 
 
 def test_eigh_roundtrip():

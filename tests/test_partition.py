@@ -13,7 +13,12 @@ from loopvertex.errors import (
     QuadratureUnderResolvedError,
     VarianceBlowupError,
 )
-from loopvertex.matrixcore import EnsembleSpec, covariances
+from loopvertex.matrixcore import (
+    EnsembleSpec,
+    covariances,
+    sample_gaussian_batch,
+    spawn_streams,
+)
 from loopvertex.partition import (
     free_energy,
     gaussian_moment_exact,
@@ -279,11 +284,37 @@ def test_free_energy_value_and_guard():
     spec = EnsembleSpec(N=1, beta=2)
     f = free_energy(c, spec)
     assert f == pytest.approx(complex(np.log(z_direct(c, spec).value)), rel=1e-10)
-    with pytest.raises(VarianceBlowupError):
+    with pytest.raises(
+        VarianceBlowupError,
+        match=r"relative standard error \d+\.\d+% exceeds 10% \(lam=0\.45\+0j, "
+        r"p=3, N=5, beta=2, n_samples=200\)",
+    ):
         z_direct(
             Coupling(lam=0.45, p=3), EnsembleSpec(N=5, beta=2),
             method="monte_carlo", n_samples=200, seed=0,
         )
+
+
+@pytest.mark.parametrize("estimator", [z_direct, z_lvr])
+def test_mc_rejects_complex_coupling(estimator):
+    with pytest.raises(OutOfRangeError, match=r"got lam=0\.05\+0\.02j$"):
+        estimator(Coupling(lam=0.05 + 0.02j, p=2), EnsembleSpec(N=2, beta=2),
+                  method="monte_carlo", n_samples=100, seed=0)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_mc_direct_integrand_equals_eigenvalue_sum(beta, p):
+    # Tr(H^p H^p) from matmuls against sum(lambda^2p) on the same draws
+    lam, n, n_samples, seed = 0.05, 3, 4000, 40 + p
+    spec = EnsembleSpec(N=n, beta=beta)
+    est = z_direct(Coupling(lam=lam, p=p), spec, method="monte_carlo",
+                   n_samples=n_samples, seed=seed)
+    rng = spawn_streams(seed, 1)[0]
+    eigs = np.linalg.eigvalsh(sample_gaussian_batch(spec, rng, n_samples))
+    vals = np.exp(-n * lam * np.sum(eigs ** (2 * p), axis=-1))
+    assert est.value.real == pytest.approx(np.mean(vals), rel=1e-13)
+    assert est.error == pytest.approx(np.std(vals) / np.sqrt(n_samples), rel=1e-11)
 
 
 @pytest.mark.parametrize("beta, sizes", [(2, range(1, 9)), (1, (4, 5, 8))])

@@ -5,7 +5,7 @@ from loopvertex.errors import BudgetExceededError, OutOfRangeError
 from loopvertex.action import action_S
 from loopvertex.matrixcore import EnsembleSpec, sample_gaussian_batch
 from loopvertex.partition import free_energy, gaussian_moment_exact
-from loopvertex import trees
+from loopvertex import matrixcore, trees
 from loopvertex.scalarmaps import Coupling
 from loopvertex.trees import (
     LabeledTree,
@@ -284,6 +284,19 @@ def test_two_vertex_value_pinned_at_fixed_seed():
                          {"n_w": 50, "n_mc": 40, "seed": 13})
     assert est.value.real == pytest.approx(0.00105000186542636, rel=1e-12)
     assert est.stderr == pytest.approx(3.112328130705778e-05, rel=1e-9)
+
+
+@pytest.mark.parametrize("edges", [((1, 2),), ((1, 2), (2, 3))])
+def test_amplitude_same_with_lapack_2x2(edges, monkeypatch):
+    # the closed-form 2 x 2 eigh against LAPACK on the same draws
+    t = LabeledTree(len(edges) + 1, edges)
+    c, spec = Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2)
+    params = {"n_w": 40, "n_mc": 25, "seed": 17}
+    closed = tree_amplitude(c, spec, t, params)
+    monkeypatch.setattr(matrixcore, "_eigh_2x2", np.linalg.eigh)
+    lapack = tree_amplitude(c, spec, t, params)
+    assert closed.value == pytest.approx(lapack.value, rel=1e-12)
+    assert closed.stderr == pytest.approx(lapack.stderr, rel=1e-12)
 
 
 def test_three_vertex_seed_reproducibility():
