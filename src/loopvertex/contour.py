@@ -9,13 +9,18 @@ axis, which encloses any real spectrum with |mu| <= R/2 while staying
 clear of the radial cuts of the scalar map h.  Quadrature nodes carry
 their du weights, so ``sum(f(u) * du)`` approximates the contour
 integral; the 1/(2*pi*i) of the functional calculus is applied by the
-consumers.  The Cauchy sum takes an array of points, and holo_apply and
+consumers.  A panel layout and its Cauchy self-test depend only on the
+geometry (R, r, psi) and the probe radius, so each geometry is certified
+once and its read-only nodes are shared by every coupling that has it;
+the clearance of the nodes from a coupling's own cut rays is checked on
+every build.  The Cauchy sum takes an array of points, and holo_apply and
 min_spectrum_distance take (..., N) stacks of spectra: each is one array
 pass over the nodes or the contour pieces.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,8 @@ DEFAULT_PANELS = 512
 GL_ORDER = 8
 CAUCHY_TOL = 1e-8
 MAX_DOUBLINGS = 5
+#: certified layouts kept, one per keyhole geometry (a bound battery needs 8)
+LAYOUT_CACHE_SIZE = 64
 #: Gauss-Legendre nodes and weights on [-1, 1], shared by every panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -132,6 +139,30 @@ def _quadrature(pieces: list, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(dnodes)
 
 
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _certified_layout(R, r, psi, probe, n_panels, tol, max_doublings):
+    """(pieces, read-only nodes, dnodes, None) once every Cauchy probe gap is <= tol.
+
+    After max_doublings failed panel doublings: the last layout with the
+    worst (probe, gap) in place of None.
+    """
+    probes_in = [0.0, 0.3 * r, -0.3 * r, 0.45j * r, probe]
+    probes_out = [R + 1.0, 1j * R, 2 * r * np.exp(1j * (psi + 0.5 * (np.pi - 2 * psi)))]
+    probes = np.array(probes_in + probes_out, dtype=complex)
+    targets = np.array([1.0] * len(probes_in) + [0.0] * len(probes_out))
+    pieces = tuple(_pieces(R, r, psi))
+    for _ in range(max_doublings + 1):
+        nodes, dnodes = _quadrature(pieces, n_panels)
+        gamma = KeyholeContour(R=R, r=r, psi=psi, nodes=nodes, dnodes=dnodes)
+        gaps = np.abs(gamma.cauchy(probes) - targets)
+        if np.all(gaps <= tol):
+            nodes.flags.writeable = dnodes.flags.writeable = False
+            return pieces, nodes, dnodes, None
+        n_panels *= 2
+    k = int(np.argmax(gaps))
+    return pieces, nodes, dnodes, (complex(probes[k]), float(gaps[k]))
+
+
 def build_keyhole(
     spectral_radius: float, c: Coupling, n_nodes: int = DEFAULT_PANELS
 ) -> KeyholeContour:
@@ -140,7 +171,9 @@ def build_keyhole(
     Geometry recipe: r = 1 (shrunk if a cut ray starts inside the unit
     disk), R = max(2*spectral_radius, 2r), psi = min(epsilon/2, half the
     angular gap between the real axis and the nearest cut ray).  Panels
-    are doubled until the Cauchy self-test reaches 1e-8.
+    are doubled until the Cauchy self-test reaches 1e-8, once per
+    geometry: couplings with the same (R, r, psi) share read-only nodes,
+    and each call checks their clearance from its own cut rays.
     """
     if spectral_radius < 0:
         raise ValueError("spectral_radius must be >= 0")
@@ -166,36 +199,25 @@ def build_keyhole(
     else:
         psi = c.epsilon / 2.0
     R = max(2.0 * spectral_radius, 2.0 * r)
-    pieces = _pieces(R, r, psi)
-
-    probes_in = [0.0, 0.3 * r, -0.3 * r, 0.45j * r, min(spectral_radius, R / 2)]
-    probes_out = [R + 1.0, 1j * R, 2 * r * np.exp(1j * (psi + 0.5 * (np.pi - 2 * psi)))]
-    n_panels = max(64, n_nodes // GL_ORDER)
-    probes = np.array(probes_in + probes_out, dtype=complex)
-    targets = np.array([1.0] * len(probes_in) + [0.0] * len(probes_out))
-    for _ in range(MAX_DOUBLINGS + 1):
-        nodes, dnodes = _quadrature(pieces, n_panels)
-        gamma = KeyholeContour(R=R, r=r, psi=psi, nodes=nodes, dnodes=dnodes, pieces=pieces)
-        gaps = np.abs(gamma.cauchy(probes) - targets)
-        if np.all(gaps <= CAUCHY_TOL):
-            break
-        n_panels *= 2
-    else:
-        k = int(np.argmax(gaps))
+    pieces, nodes, dnodes, worst = _certified_layout(
+        R, r, psi, float(min(spectral_radius, R / 2)), max(64, n_nodes // GL_ORDER),
+        CAUCHY_TOL, MAX_DOUBLINGS,
+    )
+    if worst is not None:
         raise QuadratureDivergenceError(
             f"build_keyhole: Cauchy self-test failed after {MAX_DOUBLINGS} panel "
             f"doublings ({len(nodes)} nodes) for p={c.p}, lam={lam:.6g}; worst probe "
-            f"{complex(probes[k]):.6g} has Cauchy gap {gaps[k]:.3e} > {CAUCHY_TOL:g}"
+            f"{worst[0]:.6g} has Cauchy gap {worst[1]:.3e} > {CAUCHY_TOL:g}"
         )
     if lam != 0:
-        clearance = fc_cut_distance(c.params, lam, gamma.nodes)
+        clearance = fc_cut_distance(c.params, lam, nodes)
         if np.any(clearance <= 0):
             k = int(np.argmin(clearance))
             raise CutCollisionError(
-                f"build_keyhole: contour node {complex(gamma.nodes[k]):.6g} lies on "
+                f"build_keyhole: contour node {complex(nodes[k]):.6g} lies on "
                 f"a cut ray for p={c.p}, lam={lam:.6g} (clearance {clearance[k]:.3e})"
             )
-    return gamma
+    return KeyholeContour(R=R, r=r, psi=psi, nodes=nodes, dnodes=dnodes, pieces=list(pieces))
 
 
 def min_spectrum_distance(gamma: KeyholeContour, eigenvalues):

@@ -113,8 +113,15 @@ def eigh(m: np.ndarray) -> SpectralData:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
-    allowed = HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
+        allowed = np.asarray(HERMITICITY_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1))))
+        huge = ~np.isfinite(allowed)
+        if np.any(huge):
+            # past about 1e154 the plain norm overflows: scale it by max|m|
+            scale = np.max(np.abs(m[huge]), axis=(-2, -1))
+            allowed[huge] = HERMITICITY_TOL * scale * np.linalg.norm(
+                m[huge] / scale[..., None, None], axis=(-2, -1))
     if not np.all(defect <= allowed):
         worst = np.unravel_index(np.argmax(defect / allowed), defect.shape)  # a NaN defect wins
         where = f"matrix {tuple(int(i) for i in worst)} of the stack" if worst else "matrix"
@@ -173,13 +180,15 @@ def interpolation_factor(x: np.ndarray) -> np.ndarray:
     stack to the eigenvalue square root.
     """
     x = np.asarray(x, dtype=float)
+    try:
+        # a stack Cholesky accepts is positive definite: nothing to check
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        pass
     w, v = np.linalg.eigh((x + np.swapaxes(x, -1, -2)) / 2.0)
     if np.min(w) < -PSD_TOL:
         raise NotPSDError(f"interpolation matrix has eigenvalue {np.min(w)}")
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def sample_replicas(

@@ -116,3 +116,59 @@ def test_cut_collision_error_names_node(monkeypatch):
     msg = str(err.value)
     assert "lies on a cut ray for p=2, lam=0.05+0j" in msg
     assert "clearance 0.000e+00" in msg
+
+
+def _counting_quadrature(monkeypatch):
+    calls = []
+    quadrature = contour._quadrature
+
+    def counted(pieces, n_panels):
+        calls.append(n_panels)
+        return quadrature(pieces, n_panels)
+
+    monkeypatch.setattr(contour, "_quadrature", counted)
+    return calls
+
+
+def test_couplings_with_one_geometry_share_one_layout(monkeypatch):
+    contour._certified_layout.cache_clear()
+    calls = _counting_quadrature(monkeypatch)
+    a = build_keyhole(1.0, Coupling(lam=1e-3, p=2))
+    built = len(calls)
+    b = build_keyhole(1.0, Coupling(lam=1e-2j, p=2))
+    assert built >= 1 and len(calls) == built
+    assert (a.R, a.r, a.psi) == (b.R, b.r, b.psi)
+    assert a.nodes is b.nodes and a.dnodes is b.dnodes
+    assert not a.nodes.flags.writeable and not a.dnodes.flags.writeable
+    with pytest.raises(ValueError):
+        a.nodes[0] = 0.0
+
+
+def test_clearance_checked_on_a_cached_layout(monkeypatch):
+    c = Coupling(lam=0.05, p=2)
+    build_keyhole(1.0, c)
+    hits = contour._certified_layout.cache_info().hits
+    monkeypatch.setattr(contour, "fc_cut_distance",
+                        lambda params, lam, u: np.where(np.arange(len(u)) == 3, 0.0, 1.0))
+    with pytest.raises(CutCollisionError, match="lies on a cut ray for p=2"):
+        build_keyhole(1.0, c)
+    assert contour._certified_layout.cache_info().hits == hits + 1
+
+
+def test_divergence_error_raised_after_the_keyhole_is_warm(monkeypatch):
+    # the tolerances are part of the layout key: a warm layout certified
+    # at CAUCHY_TOL is not served when the tolerance is tightened
+    build_keyhole(1.0, Coupling(lam=0.05j, p=3))
+    test_divergence_error_names_coupling_probe_and_gap(monkeypatch)
+
+
+def test_probe_radius_is_part_of_the_layout_key(monkeypatch):
+    contour._certified_layout.cache_clear()
+    calls = _counting_quadrature(monkeypatch)
+    c = Coupling(lam=0.05, p=2)
+    a = build_keyhole(1.0, c)
+    built = len(calls)
+    b = build_keyhole(0.5, c)  # the same R = 2r = 2, a different probe
+    assert (a.R, a.r, a.psi) == (b.R, b.r, b.psi)
+    assert len(calls) > built and a.nodes is not b.nodes
+    assert contour._certified_layout.cache_info().misses == 2

@@ -1,10 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopvertex import matrixcore
+from loopvertex import matrixcore, trees
 from loopvertex.errors import NonHermitianError, NotPSDError
+from loopvertex.scalarmaps import Coupling
 from loopvertex.matrixcore import (
     HERMITICITY_TOL,
     EnsembleSpec,
@@ -50,6 +54,30 @@ def test_eigh_guard_names_the_worst_matrix(n):
     with pytest.raises(NonHermitianError, match=r"^matrix violates") as exc:
         matrixcore.eigh(big)
     assert f"= {HERMITICITY_TOL * np.linalg.norm(big):.3g}" in str(exc.value)
+
+
+def test_eigh_guard_holds_past_norm_overflow():
+    # past about 1e154 the plain Frobenius norm overflows to inf, which
+    # once made the allowance inf and let this matrix through
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianError, match=re.escape("max|m - m^H| = 5e+199")) as exc:
+            eigh(np.array([[1e200, 5e199], [0.0, 1e200]]))
+        assert "= 1.5e+188" in str(exc.value)
+        stack = np.array([np.eye(2), [[1e200, 5e199], [0.0, 1e200]]])
+        with pytest.raises(NonHermitianError, match=r"matrix \(1,\) of the stack"):
+            eigh(stack)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigh_decomposes_huge_hermitian_matrices(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    unit = (a + a.conj().T) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = eigh(1e200 * unit)
+    assert np.allclose(s.eigenvalues / 1e200, np.linalg.eigvalsh(unit), rtol=1e-13, atol=1e-13)
 
 
 _ENTRY = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -152,6 +180,50 @@ def test_interpolation_factor_and_psd_guard():
     stack = np.array([x, np.ones((2, 2))])
     ell = interpolation_factor(stack)
     assert np.allclose(ell @ np.swapaxes(ell, -1, -2), stack)
+
+
+def _eigh_first_factor(x):
+    """The factor as once computed: an eigh PSD check before every Cholesky."""
+    x = np.asarray(x, dtype=float)
+    w, v = np.linalg.eigh((x + np.swapaxes(x, -1, -2)) / 2.0)
+    if np.min(w) < -matrixcore.PSD_TOL:
+        raise NotPSDError(f"interpolation matrix has eigenvalue {np.min(w)}")
+    try:
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def test_interpolation_factor_cholesky_first():
+    # positive definite: the Cholesky factor, byte for byte as before
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((200, 3, 5))
+    cov = a @ np.swapaxes(a, -1, -2)
+    d = 1.0 / np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    x = cov * d[..., :, None] * d[..., None, :]
+    assert interpolation_factor(x).tobytes() == _eigh_first_factor(x).tobytes()
+    # indefinite: Cholesky fails and the eigenvalue check names the defect
+    bad = x.copy()
+    bad[7] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+    with pytest.raises(NotPSDError, match="eigenvalue -"):
+        interpolation_factor(bad)
+    # singular PSD: the eigenvalue square root
+    ones = np.ones((3, 3))
+    ell = interpolation_factor(ones)
+    w, v = np.linalg.eigh(ones)
+    assert np.array_equal(ell, v * np.sqrt(np.clip(w, 0.0, None))[None, :])
+    assert np.allclose(ell @ ell.T, ones, atol=1e-14)
+
+
+@pytest.mark.parametrize("edges", [((1, 2),), ((1, 2), (2, 3))])
+def test_tree_amplitude_unchanged_by_cholesky_first(edges, monkeypatch):
+    t = trees.LabeledTree(len(edges) + 1, edges)
+    c, spec = Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2)
+    params = {"n_w": 40, "n_mc": 25, "seed": 19}
+    now = trees.tree_amplitude(c, spec, t, params)
+    monkeypatch.setattr(matrixcore, "interpolation_factor", _eigh_first_factor)
+    before = trees.tree_amplitude(c, spec, t, params)
+    assert now.value == before.value and now.stderr == before.stderr
 
 
 def test_sample_replicas_batch_shape_and_stream():
