@@ -132,6 +132,7 @@ def fc_series_coeffs(params: FussCatalanParams, n_max: int) -> list[Fraction]:
 
 _COEFF_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _OUTER_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_SEED_CACHE: dict[tuple[int, int, float], complex] = {}
 
 
 def _series_coeffs_float(params: FussCatalanParams, n_max: int) -> np.ndarray:
@@ -277,13 +278,21 @@ def _continue(params: FussCatalanParams, z: np.ndarray, steps: int) -> np.ndarra
     geometrically to ``|z|`` and then follows the circle ``|w| = |z|`` to
     arg z, with the distance to the branch point changing geometrically,
     so each step is a fixed fraction of that distance.  ``steps`` per leg.
+    The seed ``T_p(i*r0)`` is summed once per p and kept; ``Im z < 0``
+    starts from its conjugate, ``T_p(-i*r0)``, since the series has real
+    coefficients.
     """
     p = params.p
     bp = params.branch_point
     r0 = SERIES_RADIUS_FACTOR * bp
     side = np.where(z.imag < 0, -1.0, 1.0)
     radius = np.abs(z)
-    t = _power_series(1j * side * r0, _series_coeffs_float(params, SERIES_TERMS))
+    key = (p, SERIES_TERMS, r0)
+    if key not in _SEED_CACHE:
+        coeffs = _series_coeffs_float(params, SERIES_TERMS)
+        _SEED_CACHE[key] = complex(_power_series(np.array([1j * r0]), coeffs)[0])
+    seed = _SEED_CACHE[key]
+    t = np.where(side < 0, seed.conjugate(), seed)
     for k in range(1, steps + 1):
         t = _newton(p, 1j * side * r0 * (radius / r0) ** (k / steps), t, STEP_NEWTON)
     d0 = np.hypot(radius, bp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianError, NotPSDError
+from .errors import NonHermitianError, NotPSDError, OutOfRangeError
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -94,8 +94,9 @@ def _eigh_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = (re + 1j * im) / np.sqrt(re * re + im * im)
     else:
         phase = lower / mod_safe + (mod == 0)
-    mean, r = 0.5 * a + 0.5 * d, k * r1
-    w = np.stack([mean - r, mean + r], axis=-1)
+    with np.errstate(over="ignore"):  # eigh raises on a non-finite eigenvalue
+        mean, r = 0.5 * a + 0.5 * d, k * r1
+        w = np.stack([mean - r, mean + r], axis=-1)
     v = np.empty(m.shape, dtype=np.result_type(m.dtype, w.dtype))
     v[..., 0, 0], v[..., 0, 1] = -s, c
     v[..., 1, 0], v[..., 1, 1] = c * phase, s * phase
@@ -108,7 +109,9 @@ def eigh(m: np.ndarray) -> SpectralData:
     Batch-first: m is a (..., N, N) stack, checked in one vectorized
     pass and decomposed by one call; the result holds (..., N)
     eigenvalues and (..., N, N) eigenvectors.  A 2 x 2 stack takes the
-    closed form of _eigh_2x2, larger matrices LAPACK.
+    closed form of _eigh_2x2, larger matrices LAPACK.  A matrix whose
+    eigenvalue overflows the float range raises OutOfRangeError naming
+    its place in the stack.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -124,9 +127,8 @@ def eigh(m: np.ndarray) -> SpectralData:
                 m[huge] / scale[..., None, None], axis=(-2, -1))
     if not np.all(defect <= allowed):
         worst = np.unravel_index(np.argmax(defect / allowed), defect.shape)  # a NaN defect wins
-        where = f"matrix {tuple(int(i) for i in worst)} of the stack" if worst else "matrix"
         raise NonHermitianError(
-            f"{where} violates the hermiticity invariant: max|m - m^H| = "
+            f"{_stack_place(worst)} violates the hermiticity invariant: max|m - m^H| = "
             f"{defect[worst]:.3g} exceeds {HERMITICITY_TOL:g} * max(1, ||m||_F) "
             f"= {allowed[worst]:.3g}"
         )
@@ -134,7 +136,19 @@ def eigh(m: np.ndarray) -> SpectralData:
         w, v = _eigh_2x2(m)
     else:
         w, v = np.linalg.eigh(m)
+    finite = np.all(np.isfinite(w), axis=-1)
+    if not np.all(finite):
+        worst = np.unravel_index(np.argmin(finite), finite.shape)
+        raise OutOfRangeError(
+            f"{_stack_place(worst)} has an eigenvalue beyond the float range: "
+            f"max|m| = {np.max(np.abs(m[worst])):.3g}, eigenvalues {w[worst]}"
+        )
     return SpectralData(eigenvalues=w, eigenvectors=v)
+
+
+def _stack_place(index: tuple) -> str:
+    """Name a matrix of a (..., N, N) stack by its stack index."""
+    return f"matrix {tuple(int(i) for i in index)} of the stack" if index else "matrix"
 
 
 def covariances(spec: EnsembleSpec) -> tuple[float, float]:

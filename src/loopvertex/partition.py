@@ -20,8 +20,12 @@ makes it diverge on the real axis.  Composite 16-node Gauss-Legendre
 panels cover the bulk edge sqrt(2) plus 8.5 Gaussian scales and double
 until the ratio settles; the rule and its spectral integration matrix
 (the running integral of each panel's interpolant at its nodes) are
-built once at import, so a panel integral is one matrix product.  The single-vertex
-amplitude (trees.py) uses the same panels and Hermite recurrence.
+built once at import, so a panel integral is one matrix product.  The
+Gaussian side of a panel level (nodes, weights and the Gaussian's own
+determinant or Pfaffian) does not depend on lam and is built once per
+layout; the first doubling step evaluates the numerator's scalar map on
+both of its levels in one call.  The single-vertex amplitude (trees.py)
+uses the same panels and Hermite recurrence.
 
 log Z is the integral over t in [0, 1] of the log-derivative of the
 determinant (or Pfaffian) at coupling t lam, so F follows Z from
@@ -37,6 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +74,9 @@ _GL_S = np.polynomial.legendre.legval(
 #: composite-panel schedule of the determinantal engine
 PANELS_START = 16
 PANELS_CAP = 512
+#: Gaussian panel levels kept by _gaussian_level, one per
+#: (N, beta, zeta, panel count, half-width)
+GAUSS_LEVEL_CACHE_SIZE = 128
 #: Gauss-Legendre schedule of the log Z integral over t in [0, 1]
 T_NODES_START = 2
 T_NODES_CAP = 256
@@ -244,15 +252,51 @@ def _engine_matrix(spec: EnsembleSpec, rows, site, weights, hw) -> np.ndarray:
     return _bordered(big_m, m_vec)
 
 
-def _line_nodes(spec: EnsembleSpec, zeta: float, n_panels: int):
-    """Panel nodes mu on the line exp(i zeta) t and their weights.
+def _log_norm(spec: EnsembleSpec, a: np.ndarray) -> tuple:
+    """(sign, log|det a|) at beta = 2, (sign, log|Pf a|) at beta = 1.
 
-    Returns (mu, weights, hw, gauss) with gauss = exp(-N mu^2 / beta),
-    the Gaussian factor each row carries.
+    The log form keeps the Z ratio finite where det and Pf overflow alone.
     """
-    t, weights, hw = _panel_layout(_half_width(spec.N, zeta), n_panels)
+    return tuple(np.linalg.slogdet(a) if spec.beta == 2 else _pfaffian(a))
+
+
+class _GaussLevel(NamedTuple):
+    """The Gaussian side of one panel level on the line exp(i zeta) t."""
+
+    mu: np.ndarray  # panel nodes on the line, read-only
+    weights: np.ndarray  # dt weights, read-only
+    hw: float  # panel half-width
+    gauss: np.ndarray  # exp(-N mu^2 / beta), the factor each row carries
+    log_norm: tuple  # (sign, log|det|) or (sign, log|Pf|) of the Gaussian
+    defect: float | None  # beta = 2: max|exp(i zeta) G_gauss - I|
+
+
+@functools.lru_cache(maxsize=GAUSS_LEVEL_CACHE_SIZE)
+def _gaussian_level(spec: EnsembleSpec, zeta: float, n_panels: int, half: float):
+    """Layout and Gaussian determinant or Pfaffian of one panel level.
+
+    None of it depends on lam, so it is built once per key; half, the
+    panel half-width, carries HALF_WIDTH_SIGMAS.  The Hermite rows are
+    not kept: they grow as N times the node count.  With dt weights the
+    Gaussian's Gram matrix is exp(-i zeta) I on an exact basis, so
+    defect measures how far the rotated rows are from one.
+    """
+    t, weights, hw = _panel_layout(half, n_panels)
     mu = np.exp(1j * zeta) * t.ravel()
-    return mu, weights.ravel(), hw, np.exp(-spec.N * mu**2 / spec.beta)
+    weights = weights.ravel()
+    gauss = np.exp(-spec.N * mu**2 / spec.beta)
+    den = _engine_matrix(spec, _hermite_rows(mu, spec.N, gauss), 1.0, weights, hw)
+    defect = None
+    if spec.beta == 2:
+        defect = float(np.max(np.abs(np.exp(1j * zeta) * den - np.eye(spec.N))))
+    for a in (mu, weights, gauss):
+        a.flags.writeable = False
+    return _GaussLevel(mu, weights, hw, gauss, _log_norm(spec, den), defect)
+
+
+def _line_level(spec: EnsembleSpec, zeta: float, n_panels: int) -> _GaussLevel:
+    """The cached Gaussian level at the current HALF_WIDTH_SIGMAS."""
+    return _gaussian_level(spec, zeta, n_panels, _half_width(spec.N, zeta))
 
 
 def _line_estimate(
@@ -262,26 +306,44 @@ def _line_estimate(
 
     family(mu) returns (x, site): the point where the numerator's
     polynomials are evaluated and its site weight; the denominator is the
-    Gaussian itself (x = mu, site 1).  All contour phases are common
-    factors of numerator and denominator and cancel in the ratio.
+    Gaussian itself (x = mu, site 1), read from _gaussian_level.  All
+    contour phases are common factors of numerator and denominator and
+    cancel in the ratio.  _doubling always evaluates the first two
+    levels, so one family call covers both.  A stall at beta = 2 also
+    names the last level's Gaussian basis defect.
     """
     big_n = spec.N
+    levels, ahead = {}, {}
 
     def eval_at(n_panels):
-        mu, weights, hw, gauss = _line_nodes(spec, zeta, n_panels)
-        x, site = family(mu)
-        den_rows = _hermite_rows(mu, big_n, gauss)
-        num_rows = den_rows if x is mu else _hermite_rows(x, big_n, gauss)
-        num = _engine_matrix(spec, num_rows, site, weights, hw)
-        den = _engine_matrix(spec, den_rows, 1.0, weights, hw)
-        # the ratio in log form: at large N det and Pf overflow alone
-        log_form = np.linalg.slogdet if spec.beta == 2 else _pfaffian
-        (s_num, l_num), (s_den, l_den) = log_form(num), log_form(den)
+        level = levels[n_panels] = _line_level(spec, zeta, n_panels)
+        if n_panels in ahead:
+            x, site = ahead.pop(n_panels)
+        elif n_panels == PANELS_START < PANELS_CAP:
+            mu_next = _line_level(spec, zeta, 2 * n_panels).mu
+            x, site = family(np.concatenate([level.mu, mu_next]))
+            k = len(level.mu)
+            ahead[2 * n_panels] = x[k:], site[k:]
+            x, site = x[:k], site[:k]
+        else:
+            x, site = family(level.mu)
+        rows = _hermite_rows(x, big_n, level.gauss)
+        num = _engine_matrix(spec, rows, site, level.weights, level.hw)
+        (s_num, l_num), (s_den, l_den) = _log_norm(spec, num), level.log_norm
         return complex(s_num / s_den * np.exp(l_num - l_den))
 
-    value, gap, n_panels = _doubling(
-        eval_at, PANELS_START, PANELS_CAP, stage, c, spec
-    )
+    try:
+        value, gap, n_panels = _doubling(
+            eval_at, PANELS_START, PANELS_CAP, stage, c, spec
+        )
+    except QuadratureUnderResolvedError as exc:
+        last = max(levels)
+        if levels[last].defect is None:
+            raise
+        raise QuadratureUnderResolvedError(
+            f"{exc}; Gaussian basis defect max|exp(i zeta) G - I| = "
+            f"{levels[last].defect:.3e} at {last} panels (zeta={zeta:.6g})"
+        ) from None
     return PartitionEstimate(value, "quadrature", gap, GL_ORDER * n_panels)
 
 
@@ -400,7 +462,7 @@ def free_energy(c: Coupling, spec: EnsembleSpec) -> complex:
     big_n = spec.N
     zeta = _tilt_angle(lam, c.p)
     n_panels = z_direct(c, spec).n_points // GL_ORDER
-    mu, weights, hw, gauss = _line_nodes(spec, zeta, n_panels)
+    mu, weights, hw, gauss, _, _ = _line_level(spec, zeta, n_panels)
     rows = _hermite_rows(mu, big_n, gauss)
     pot = big_n * lam * mu ** (2 * c.p)
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -327,3 +328,37 @@ def test_shape_kept_across_zones():
     assert np.array_equal(t.ravel(), fc_eval_many(params, z))
     head = fc_eval_many(params, z[:7])
     assert np.max(np.abs(head - t[0, :7])) <= 1e-14 * np.max(np.abs(head))
+
+
+#: sha1 of fc_eval_many's output bytes on _pin_grid(p), one call per p
+FC_EVAL_SHA1 = {
+    2: "656749899cfc1f173e833ed2cc5a4efbce5f54bd",
+    3: "b884ac81c538e42fa0ec78f27009f7ae95394fc0",
+    4: "b9f0274906e36dcd1734874b15e7526f11f15ab8",
+    5: "7dd7f679f893e95fbe18beee322ba0ac5d5076ac",
+    6: "c34561def3c9ae627664145813387eee6ee8ecad",
+}
+
+
+def _pin_grid(p):
+    # |z| from 0.03 to 30 branch points: inner disk, annulus and outer
+    # zone; both half-planes and both real half-axes, kept off the cut
+    params = FussCatalanParams(p)
+    bp = params.branch_point
+    rng = np.random.default_rng(1900 + p)
+    radii = bp * 10.0 ** rng.uniform(-1.5, 1.5, 3000)
+    z = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, 3000))
+    z = z[cut_distance_to_positive_ray(params, z) > 1e-3 * bp]
+    real = bp * np.array([0.1, 0.4, 0.6, 0.9, 2.0, 5.0])
+    return np.concatenate([z, -real, real[:4], 1j * real, -1j * real])
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_fc_eval_many_pinned(p):
+    params = FussCatalanParams(p)
+    z = _pin_grid(p)
+    radius = np.abs(z) / params.branch_point
+    zones = ((radius <= 0.5).sum(), ((radius > 0.5) & (radius < 3)).sum(), (radius >= 3).sum())
+    assert min(zones) > 500, zones
+    t = fc_eval_many(params, z)
+    assert hashlib.sha1(t.tobytes()).hexdigest() == FC_EVAL_SHA1[p]

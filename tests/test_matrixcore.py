@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopvertex import matrixcore, trees
-from loopvertex.errors import NonHermitianError, NotPSDError
+from loopvertex.errors import NonHermitianError, NotPSDError, OutOfRangeError
 from loopvertex.scalarmaps import Coupling
 from loopvertex.matrixcore import (
     HERMITICITY_TOL,
@@ -78,6 +78,20 @@ def test_eigh_decomposes_huge_hermitian_matrices(n):
         warnings.simplefilter("error")
         s = eigh(1e200 * unit)
     assert np.allclose(s.eigenvalues / 1e200, np.linalg.eigvalsh(unit), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigh_overflow_raises_naming_the_matrix(n):
+    # a Hermitian matrix whose largest eigenvalue exceeds the float range:
+    # the 2 x 2 closed form once returned inf with only a RuntimeWarning
+    big = np.full((n, n), 1e308, dtype=complex)
+    big[0, 1], big[1, 0] = 1e308j, -1e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match=r"^matrix has an eigenvalue beyond"):
+            eigh(big)
+        with pytest.raises(OutOfRangeError, match=r"^matrix \(1,\) of the stack"):
+            eigh(np.array([np.eye(n), big]))
 
 
 _ENTRY = st.floats(-1.0, 1.0, allow_subnormal=False)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopvertex import partition
+from loopvertex import action, partition
 from loopvertex.bounds import PACMAN_MODULI, pacman_args
 from loopvertex.errors import (
     OutOfRangeError,
@@ -235,6 +236,66 @@ def test_large_n_stall_raises_typed_error_without_warnings(lam, n, beta):
     msg = str(exc.value)
     for field in (f"lam={complex(c.lam):.6g}", f"N={n}", f"beta={beta}"):
         assert field in msg, (field, msg)
+
+
+@pytest.mark.parametrize("arg", [np.pi - 0.4, -(np.pi - 0.4)])
+def test_stall_names_the_gaussian_basis_defect(arg):
+    # the rotated Hermite rows are far from orthonormal here: the stall
+    # reports max|exp(i zeta) G_gauss - I| of its last level
+    c = Coupling(lam=0.05 * np.exp(1j * arg), p=2)
+    with pytest.raises(QuadratureUnderResolvedError) as exc:
+        z_direct(c, EnsembleSpec(N=64, beta=2))
+    found = re.search(r"Gaussian basis defect max\|exp\(i zeta\) G - I\| = (\S+) at 512 panels",
+                      str(exc.value))
+    assert found, str(exc.value)
+    assert float(found.group(1)) > 1.0
+
+
+def test_gaussian_level_defect_small_where_the_engine_converges():
+    # tilted lines of the criterion-06 grid: the basis is exact to round-off
+    for n in (1, 2, 3):
+        for zeta in (3 * np.pi / 16, -3 * np.pi / 16, np.pi / 8):
+            for n_panels in (16, 32):
+                level = partition._line_level(EnsembleSpec(N=n), zeta, n_panels)
+                assert level.defect <= 1e-12, (n, zeta, n_panels)
+    assert partition._line_level(EnsembleSpec(N=2, beta=1), 0.3, 16).defect is None
+
+
+def test_first_two_levels_share_one_map_call(monkeypatch):
+    calls = []
+    fc_eval_many = action.fc_eval_many
+
+    def spy(params, z):
+        calls.append(np.size(z))
+        return fc_eval_many(params, z)
+
+    monkeypatch.setattr(action, "fc_eval_many", spy)
+    c = Coupling(lam=0.1 * np.exp(0.75j * np.pi), p=2)
+    est = z_lvr(c, EnsembleSpec(N=3, beta=2))
+    assert est.n_points == partition.GL_ORDER * 32
+    assert calls == [partition.GL_ORDER * (16 + 32)]
+    # a level beyond the second is one call of its own
+    calls.clear()
+    monkeypatch.setattr(partition, "QUAD_REL_TOL", 1e-300)
+    with pytest.raises(QuadratureUnderResolvedError):
+        z_lvr(c, EnsembleSpec(N=3, beta=2))
+    assert calls == [partition.GL_ORDER * m for m in (16 + 32, 64, 128, 256, 512)]
+
+
+def test_gaussian_level_cached_read_only(monkeypatch):
+    spec = EnsembleSpec(N=3, beta=2)
+    partition._gaussian_level.cache_clear()
+    first = partition._line_level(spec, 0.0, 16)
+    for a in (first.mu, first.weights, first.gauss):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert partition._line_level(spec, 0.0, 16) is first
+    assert partition._gaussian_level.cache_info().hits == 1
+    monkeypatch.setattr(partition, "HALF_WIDTH_SIGMAS", 10.0)
+    wider = partition._line_level(spec, 0.0, 16)
+    assert partition._gaussian_level.cache_info().misses == 2
+    assert wider.mu[-1].real > first.mu[-1].real
 
 
 def test_mc_values_pinned_at_fixed_seeds():
