@@ -9,6 +9,15 @@ covariances that follow are
 
 This single weight makes the change of variables K^2 = H^2 + lam H^(2p)
 telescope exactly; see the convention ledger emitted by the CLI.
+
+Two samplers serve two needs.  sample_gaussian_batch draws the full
+unitary- or orthogonally-invariant matrix: the tree vertices need its
+eigenvectors and its correlated replicas w K1 + sqrt(1 - w^2) K'.
+sample_tridiagonal_batch draws a real symmetric tridiagonal matrix with
+the same eigenvalue law (Dumitriu and Edelman, "Matrix models for beta
+ensembles", J. Math. Phys. 43, 2002) from 2N - 1 real variates; the
+Monte Carlo estimates of Z integrate functions of the spectrum alone and
+take it.
 """
 
 from __future__ import annotations
@@ -177,6 +186,30 @@ def sample_gaussian_batch(
         idx = np.arange(n)
         h[:, idx, idx] = a[:, idx, idx] / np.sqrt(2 * n)
     return h
+
+
+def sample_tridiagonal_batch(
+    spec: EnsembleSpec, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """size x N x N real symmetric tridiagonal stack with the ensemble's spectrum law.
+
+    Householder reduction of a draw keeps its diagonal entry and folds
+    the k entries below it into their norm, chi_(beta k) / (2 sqrt N)
+    at both beta (each entry has E|H_ij|^2 = beta / (4N)); the block
+    left over is again an ensemble draw.  So the diagonal holds
+    N(0, 1/(2N)) entries and the off-diagonals, k = N - 1, ..., 1 from
+    the top, sqrt(Gamma(beta k / 2) / (2N)): 2N - 1 real variates per
+    matrix, the normals drawn first.
+    """
+    n = spec.N
+    t = np.zeros((size, n, n))
+    idx = np.arange(n)
+    t[:, idx, idx] = rng.standard_normal((size, n)) / np.sqrt(2 * n)
+    if n > 1:
+        shape = 0.5 * spec.beta * np.arange(n - 1, 0, -1)
+        off = np.sqrt(rng.standard_gamma(shape, (size, n - 1)) / (2 * n))
+        t[:, idx[1:], idx[:-1]] = t[:, idx[:-1], idx[1:]] = off
+    return t
 
 
 def sample_gaussian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:

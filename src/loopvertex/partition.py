@@ -30,10 +30,15 @@ uses the same panels and Hermite recurrence.
 log Z is the integral over t in [0, 1] of the log-derivative of the
 determinant (or Pfaffian) at coupling t lam, so F follows Z from
 lam = 0 and never picks a branch of the logarithm.  Monte Carlo
-estimates of Z remain as an independent oracle: the direct integrand
-takes Tr H^2p = Tr(H^p H^p) from p - 1 matrix products of each draw, and
-only the change of variables diagonalizes it.  Exact Gaussian moments by
-Wick pairing enumeration provide the perturbative anchor.
+estimates of Z remain as an independent oracle.  Both integrands depend
+on the spectrum alone, so each draw is the real tridiagonal matrix of
+the Dumitriu-Edelman model (matrixcore.sample_tridiagonal_batch), whose
+eigenvalues follow the ensemble's law from 2N - 1 real variates: the
+direct integrand takes Tr H^2p = Tr(T^p T^p) from p - 1 real matrix
+products, and only the change of variables diagonalizes T.  An estimate
+from fewer than 2 draws has no standard error and raises.  Exact
+Gaussian moments by Wick pairing enumeration provide the perturbative
+anchor.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .errors import (
     QuadratureUnderResolvedError,
     VarianceBlowupError,
 )
-from .matrixcore import EnsembleSpec, sample_gaussian_batch, spawn_streams
+from .matrixcore import EnsembleSpec, sample_tridiagonal_batch, spawn_streams
 from .scalarmaps import Coupling
 
 QUAD_REL_TOL = 1e-6
@@ -358,12 +363,22 @@ def _mc_estimate(
     n_samples: int,
     seed: int,
 ) -> PartitionEstimate:
-    """Monte Carlo mean of exp(log_integrand(h)) over an (n, N, N) draw stack h."""
+    """Monte Carlo mean of exp(log_integrand(t)) over n_samples draws.
+
+    t is an (n_samples, N, N) real tridiagonal stack whose spectra follow
+    the ensemble's eigenvalue law.
+    """
     lam = complex(c.lam)
     if lam.imag != 0 or lam.real < 0:
         raise OutOfRangeError(f"Monte Carlo requires real lambda >= 0, got lam={lam:.6g}")
+    if n_samples < 2:
+        raise OutOfRangeError(
+            f"Monte Carlo needs at least 2 samples for a standard error, got "
+            f"n_samples={n_samples} (lam={lam:.6g}, p={c.p}, N={spec.N}, "
+            f"beta={spec.beta})"
+        )
     rng = spawn_streams(seed, 1)[0]
-    vals = np.exp(log_integrand(sample_gaussian_batch(spec, rng, n_samples)))
+    vals = np.exp(log_integrand(sample_tridiagonal_batch(spec, rng, n_samples)))
     mean = complex(np.mean(vals))
     se = float(np.std(vals.real) / np.sqrt(len(vals)))
     if se > MC_MAX_REL_SE * abs(mean):
@@ -393,12 +408,12 @@ def z_direct(
     p = c.p
     big_n = spec.N
     if method == "monte_carlo":
-        def log_integrand(h):
-            # Tr H^2p = Tr(H^p H^p): p - 1 matmuls, no diagonalization
-            hp = h
+        def log_integrand(t):
+            # Tr T^2p = Tr(T^p T^p): p - 1 matmuls, no diagonalization
+            tp = t
             for _ in range(p - 1):
-                hp = hp @ h
-            return -big_n * lam.real * np.einsum("...ij,...ji->...", hp, hp).real
+                tp = tp @ t
+            return -big_n * lam.real * np.einsum("...ij,...ji->...", tp, tp)
 
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":
@@ -424,9 +439,9 @@ def z_lvr(
     if lam == 0:
         return PartitionEstimate(1.0 + 0.0j, method, 0.0, 0)
     if method == "monte_carlo":
-        def log_integrand(h):
+        def log_integrand(t):
             # real lambda: S is real on real spectra
-            return action_S(c, spec, np.linalg.eigvalsh(h)).total.real
+            return action_S(c, spec, np.linalg.eigvalsh(t)).total.real
 
         return _mc_estimate(c, spec, log_integrand, n_samples, seed)
     if method != "quadrature":

@@ -311,7 +311,8 @@ def tree_amplitude(
     """Estimate of one tree amplitude: exact for n = 1, Monte Carlo above.
 
     params (ignored for n = 1): n_w and n_mc (their product is the sample count; every
-    sample draws its own weakening vector) and seed.  Degree-1 vertices
+    sample draws its own weakening vector; fewer than 2 samples raise
+    OutOfRangeError) and seed.  Degree-1 vertices
     carry the analytic action gradient, the degree-2 vertex of a 3-path
     the exact directional Hessian (action_hessian).  All samples are
     drawn as arrays, in chunks of at most _BATCH_CHUNK samples and
@@ -326,6 +327,12 @@ def tree_amplitude(
     seed = int(params.get("seed", 0))
     if complex(c.lam) == 0:
         return AmplitudeEstimate(0.0, 0.0, n_w, n_mc, t)
+    if min(n_w, n_mc) < 1 or n_w * n_mc < 2:
+        raise OutOfRangeError(
+            f"tree amplitude needs n_w, n_mc >= 1 and at least 2 samples for a "
+            f"standard error, got n_w={n_w}, n_mc={n_mc} (lam={complex(c.lam):.6g}, "
+            f"p={c.p}, N={spec.N}, beta={spec.beta})"
+        )
     rng = spawn_streams(seed, 1)[0]
     chunk = max(1, min(_BATCH_CHUNK, _CHUNK_ELEMENTS // (t.n * spec.N**2)))
     if t.n == 2:

@@ -17,8 +17,10 @@ from loopvertex.matrixcore import (
     interpolation_factor,
     sample_gaussian_batch,
     sample_replicas,
+    sample_tridiagonal_batch,
     spawn_streams,
 )
+from loopvertex.partition import gaussian_moment_exact
 
 
 def test_spec_validation():
@@ -179,6 +181,83 @@ def test_first_moment_trace_square():
         n = spec.N
         expected = n * n * straight + n * twist
         assert tr2 == pytest.approx(expected, rel=0.02)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_tridiagonal_draws_are_real_symmetric_tridiagonal(n, beta):
+    t = sample_tridiagonal_batch(EnsembleSpec(N=n, beta=beta), np.random.default_rng(n), 50)
+    assert t.shape == (50, n, n) and t.dtype == np.float64
+    assert np.array_equal(t, np.swapaxes(t, -1, -2))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    assert np.all(t[:, ~band] == 0)
+    assert np.all(np.diagonal(t, offset=1, axis1=-2, axis2=-1) >= 0)
+
+
+def test_tridiagonal_draws_normals_then_gammas():
+    # 2N - 1 variates per matrix: N normals, then N - 1 gammas of shape
+    # beta k / 2 for k = N - 1, ..., 1; no gamma draw at N = 1
+    rng = np.random.default_rng(4)
+    t = sample_tridiagonal_batch(EnsembleSpec(N=3, beta=1), rng, 6)
+    ref = np.random.default_rng(4)
+    diag = ref.standard_normal((6, 3)) / np.sqrt(6)
+    off = np.sqrt(ref.standard_gamma([1.0, 0.5], (6, 2)) / 6)
+    assert np.array_equal(np.diagonal(t, axis1=-2, axis2=-1), diag)
+    assert np.array_equal(np.diagonal(t, offset=-1, axis1=-2, axis2=-1), off)
+    one = sample_tridiagonal_batch(EnsembleSpec(N=1), rng, 6)
+    assert np.array_equal(one[:, 0, 0], ref.standard_normal(6) / np.sqrt(2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_tridiagonal_trace_square_is_chi_square(n, beta):
+    # 2N Tr T^2 sums N chi^2_1 diagonal terms and a chi^2_(beta k) per
+    # off-diagonal: chi^2 with N + beta N (N - 1) / 2 degrees of freedom
+    size = 40000
+    t = sample_tridiagonal_batch(EnsembleSpec(N=n, beta=beta), np.random.default_rng(7), size)
+    x = 2 * n * np.einsum("bij,bji->b", t, t)
+    dof = n + beta * n * (n - 1) / 2
+    assert abs(x.mean() - dof) <= 4 * np.sqrt(2 * dof / size)
+    # the sample variance of chi^2_dof has variance (8 dof^2 + 48 dof) / size
+    assert abs(x.var() - 2 * dof) <= 4 * np.sqrt((8 * dof**2 + 48 * dof) / size)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tridiagonal_moments_match_wick(n, beta):
+    spec = EnsembleSpec(N=n, beta=beta)
+    t = sample_tridiagonal_batch(spec, np.random.default_rng(10 * n + beta), 40000)
+    t2 = t @ t
+    for k, tr in ((2, np.einsum("bij,bji->b", t2, t2)),
+                  (3, np.einsum("bij,bjk,bki->b", t2, t2, t2))):
+        exact = float(gaussian_moment_exact(n, k, beta))
+        assert abs(tr.mean() - exact) <= 4 * tr.std() / np.sqrt(len(tr)), (k, exact)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_tridiagonal_largest_eigenvalue_matches_dense(beta):
+    spec = EnsembleSpec(N=4, beta=beta)
+    rng = np.random.default_rng(20 + beta)
+    tri = np.linalg.eigvalsh(sample_tridiagonal_batch(spec, rng, 40000))[:, -1]
+    dense = np.linalg.eigvalsh(sample_gaussian_batch(spec, rng, 40000))[:, -1]
+    se = np.hypot(tri.std(), dense.std()) / np.sqrt(40000)
+    assert abs(tri.mean() - dense.mean()) <= 4 * se
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    beta=st.sampled_from([1, 2]),
+    p=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tridiagonal_trace_power_equals_eigenvalue_sum(n, beta, p, seed):
+    t = sample_tridiagonal_batch(EnsembleSpec(N=n, beta=beta), np.random.default_rng(seed), 8)
+    tp = np.linalg.matrix_power(t, p)
+    direct = np.einsum("bij,bji->b", tp, tp)
+    spectral = np.sum(np.linalg.eigvalsh(t) ** (2 * p), axis=-1)
+    np.testing.assert_allclose(direct, spectral, rtol=1e-12)
 
 
 def test_interpolation_factor_and_psd_guard():

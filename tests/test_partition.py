@@ -17,7 +17,7 @@ from loopvertex.errors import (
 from loopvertex.matrixcore import (
     EnsembleSpec,
     covariances,
-    sample_gaussian_batch,
+    sample_tridiagonal_batch,
     spawn_streams,
 )
 from loopvertex.partition import (
@@ -299,15 +299,25 @@ def test_gaussian_level_cached_read_only(monkeypatch):
 
 
 def test_mc_values_pinned_at_fixed_seeds():
-    # one sampling stream per call; these are the values it gives
-    a = z_direct(Coupling(lam=0.1, p=2), EnsembleSpec(N=3, beta=2),
-                 method="monte_carlo", n_samples=20000, seed=11)
-    assert a.value == pytest.approx(0.6738932327531165, rel=1e-12)
-    assert a.error == pytest.approx(0.0015515693460670908, rel=1e-9)
-    b = z_lvr(Coupling(lam=0.1, p=2), EnsembleSpec(N=3, beta=1),
-              method="monte_carlo", n_samples=5000, seed=12)
-    assert b.value == pytest.approx(0.8167604119847671, rel=1e-12)
-    assert b.error == pytest.approx(0.0012012372452311056, rel=1e-9)
+    # one tridiagonal sampling stream per call; these are the values it
+    # gives.  The dense sampler gave the old pins on the same seeds: a new
+    # stream of the same law stays within 3 combined standard errors of
+    # them, and within 3 of the quadrature Z
+    cases = [
+        (z_direct, EnsembleSpec(N=3, beta=2), 20000, 11,
+         (0.6760555620527732, 0.0015431247910404039),
+         (0.6738932327531165, 0.0015515693460670908)),
+        (z_lvr, EnsembleSpec(N=3, beta=1), 5000, 12,
+         (0.8167165930434701, 0.0012003533192562574),
+         (0.8167604119847671, 0.0012012372452311056)),
+    ]
+    c = Coupling(lam=0.1, p=2)
+    for estimator, spec, n_samples, seed, (value, error), (old, old_error) in cases:
+        est = estimator(c, spec, method="monte_carlo", n_samples=n_samples, seed=seed)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.error == pytest.approx(error, rel=1e-9)
+        assert abs(est.value - old) <= 3 * np.hypot(est.error, old_error)
+        assert abs(est.value - z_direct(c, spec).value) <= 3 * est.error
 
 
 def test_mc_agrees_with_quadrature():
@@ -318,6 +328,27 @@ def test_mc_agrees_with_quadrature():
     assert abs(est.value - ref) <= 4 * est.error
     est_l = z_lvr(c, spec, method="monte_carlo", n_samples=50000, seed=2)
     assert abs(est_l.value - ref) <= 4 * est_l.error
+
+
+@pytest.mark.parametrize("n, beta", [(16, 2), (24, 2), (8, 1)])
+def test_mc_meets_quadrature_at_large_n(n, beta):
+    # the tridiagonal draws keep Monte Carlo an independent witness at
+    # the N where the determinantal engine works
+    c = Coupling(lam=0.05, p=2)
+    spec = EnsembleSpec(N=n, beta=beta)
+    est = z_direct(c, spec, method="monte_carlo", n_samples=20000, seed=n)
+    assert abs(est.value - z_direct(c, spec).value) <= 4 * est.error
+
+
+@pytest.mark.parametrize("estimator", [z_direct, z_lvr])
+@pytest.mark.parametrize("n_samples", [0, 1, -3])
+def test_mc_needs_two_samples(estimator, n_samples):
+    with pytest.raises(
+        OutOfRangeError,
+        match=rf"got n_samples={n_samples} \(lam=0\.05\+0j, p=2, N=3, beta=1\)$",
+    ):
+        estimator(Coupling(lam=0.05, p=2), EnsembleSpec(N=3, beta=1),
+                  method="monte_carlo", n_samples=n_samples, seed=0)
 
 
 def test_mc_large_n_runs():
@@ -366,13 +397,13 @@ def test_mc_rejects_complex_coupling(estimator):
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("p", [2, 3])
 def test_mc_direct_integrand_equals_eigenvalue_sum(beta, p):
-    # Tr(H^p H^p) from matmuls against sum(lambda^2p) on the same draws
+    # Tr(T^p T^p) from matmuls against sum(lambda^2p) on the same draws
     lam, n, n_samples, seed = 0.05, 3, 4000, 40 + p
     spec = EnsembleSpec(N=n, beta=beta)
     est = z_direct(Coupling(lam=lam, p=p), spec, method="monte_carlo",
                    n_samples=n_samples, seed=seed)
     rng = spawn_streams(seed, 1)[0]
-    eigs = np.linalg.eigvalsh(sample_gaussian_batch(spec, rng, n_samples))
+    eigs = np.linalg.eigvalsh(sample_tridiagonal_batch(spec, rng, n_samples))
     vals = np.exp(-n * lam * np.sum(eigs ** (2 * p), axis=-1))
     assert est.value.real == pytest.approx(np.mean(vals), rel=1e-13)
     assert est.error == pytest.approx(np.std(vals) / np.sqrt(n_samples), rel=1e-11)

@@ -254,6 +254,16 @@ def test_budget_guards():
     assert single.value == single_vertex_amplitude(c, big).value
 
 
+@pytest.mark.parametrize("n_w, n_mc", [(0, 64), (1, 1), (-1, 4), (-1, -4)])
+def test_sampled_tree_needs_two_samples(n_w, n_mc):
+    with pytest.raises(
+        OutOfRangeError,
+        match=rf"got n_w={n_w}, n_mc={n_mc} \(lam=0\.01\+0j, p=2, N=2, beta=2\)$",
+    ):
+        tree_amplitude(Coupling(lam=0.01, p=2), EnsembleSpec(N=2, beta=2),
+                       LabeledTree(2, ((1, 2),)), {"n_w": n_w, "n_mc": n_mc, "seed": 0})
+
+
 def test_two_vertex_stderr_scaling():
     # pooled error should shrink like 1/sqrt(n)
     spec = EnsembleSpec(N=2, beta=2)
