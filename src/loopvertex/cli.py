@@ -1,7 +1,17 @@
 """Batch command-line front-end with JSON/CSV result emission.
 
-Commands: fc-eval, maps-check, contour-check, z-identity, free-energy,
-lve-sum, single-vertex, jacobian-check, verify-bounds, pacman-scan.
+Each command takes only the flags its body reads, plus ``--output``;
+any other flag is refused (exit 2).  The JSON ``inputs`` block records
+the command, the output path and those flags:
+
+    fc-eval                    --p --z-re --z-im
+    maps-check, contour-check  --p --lambda-modulus --lambda-arg --epsilon --seed
+    z-identity, free-energy,   --p --N --beta --lambda-modulus --lambda-arg --epsilon
+      single-vertex
+    lve-sum                    the six above, plus --n-max --mc-samples --seed
+    jacobian-check             --p --N --lambda-modulus --lambda-arg (0) --seed
+    verify-bounds              --p --epsilon --seed
+    pacman-scan                --p --N-list --beta --lambda-modulus --lambda-arg --epsilon
 
 Exit codes: 0 all asserted invariants pass, 1 an invariant failed
 (the failing check is named in the JSON), 2 configuration error.
@@ -14,7 +24,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +39,7 @@ from .partition import free_energy, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
 from .trees import lve_truncated_F, single_vertex_amplitude
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CONVENTION_LEDGER = {
     "gaussian_weight": "exp(-N Tr H^2)",
@@ -38,19 +48,6 @@ CONVENTION_LEDGER = {
     "cauchy_normalization": "1/(2 pi i) included in all contour calculus",
     "edge_factor": "1/(2N) per tree edge, matching the declared covariance",
 }
-
-COMMANDS = (
-    "fc-eval",
-    "maps-check",
-    "contour-check",
-    "z-identity",
-    "free-energy",
-    "lve-sum",
-    "single-vertex",
-    "jacobian-check",
-    "verify-bounds",
-    "pacman-scan",
-)
 
 
 @dataclass
@@ -117,12 +114,12 @@ def _out_dir(config: RunConfig) -> str:
 def _write_json(config: RunConfig, payload: dict) -> str:
     os.makedirs(_out_dir(config), exist_ok=True)
     path = os.path.join(_out_dir(config), f"{config.command}.json")
+    _, inputs = COMMANDS[config.command]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "convention_ledger": CONVENTION_LEDGER,
-        "inputs": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in asdict(config).items()},
+        "inputs": {k: getattr(config, k) for k in ("command", "output_path", *inputs)},
         **payload,
     }
     with open(path, "w", encoding="utf-8") as f:
@@ -336,17 +333,23 @@ def _trend(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coeffs[0]), float(np.sqrt(cov[0, 0]))
 
 
-_BODIES = {
-    "fc-eval": _cmd_fc_eval,
-    "maps-check": _cmd_maps_check,
-    "contour-check": _cmd_contour_check,
-    "z-identity": _cmd_z_identity,
-    "free-energy": _cmd_free_energy,
-    "lve-sum": _cmd_lve_sum,
-    "single-vertex": _cmd_single_vertex,
-    "jacobian-check": _cmd_jacobian_check,
-    "verify-bounds": _cmd_verify_bounds,
-    "pacman-scan": _cmd_pacman_scan,
+_COUPLING = ("p", "lambda_modulus", "lambda_arg", "epsilon")
+_ENSEMBLE = ("N", "beta")
+
+#: command -> (body, the RunConfig fields it reads: its only flags besides --output)
+COMMANDS = {
+    "fc-eval": (_cmd_fc_eval, ("p", "z_re", "z_im")),
+    "maps-check": (_cmd_maps_check, _COUPLING + ("seed",)),
+    "contour-check": (_cmd_contour_check, _COUPLING + ("seed",)),
+    "z-identity": (_cmd_z_identity, _COUPLING + _ENSEMBLE),
+    "free-energy": (_cmd_free_energy, _COUPLING + _ENSEMBLE),
+    "lve-sum": (_cmd_lve_sum, _COUPLING + _ENSEMBLE + ("n_max", "mc_samples", "seed")),
+    "single-vertex": (_cmd_single_vertex, _COUPLING + _ENSEMBLE),
+    "jacobian-check": (
+        _cmd_jacobian_check, ("p", "N", "lambda_modulus", "lambda_arg", "seed")
+    ),
+    "verify-bounds": (_cmd_verify_bounds, ("p", "epsilon", "seed")),
+    "pacman-scan": (_cmd_pacman_scan, _COUPLING + ("n_list", "beta")),
 }
 
 
@@ -358,48 +361,42 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+#: RunConfig field -> (flag, argparse type); the defaults are RunConfig's
+_FLAGS = {
+    "p": ("--p", int),
+    "N": ("--N", int),
+    "n_list": ("--N-list", _parse_n_list),
+    "beta": ("--beta", int),
+    "lambda_modulus": ("--lambda-modulus", float),
+    "lambda_arg": ("--lambda-arg", float),
+    "epsilon": ("--epsilon", float),
+    "n_max": ("--n-max", int),
+    "mc_samples": ("--mc-samples", int),
+    "seed": ("--seed", int),
+    "z_re": ("--z-re", float),
+    "z_im": ("--z-im", float),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopvertex",
         description="Matrix-model change-of-variables and tree-expansion checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--p", type=int, default=2)
-        s.add_argument("--N", type=int, default=2)
-        s.add_argument("--N-list", type=str, default="")
-        s.add_argument("--beta", type=int, default=2)
-        s.add_argument("--lambda-modulus", type=float, default=0.0)
-        s.add_argument("--lambda-arg", type=float, default=0.0)
-        s.add_argument("--epsilon", type=float, default=0.2)
-        s.add_argument("--n-max", type=int, default=2)
-        s.add_argument("--mc-samples", type=int, default=20000)
-        s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--output", type=str, default="")
-        s.add_argument("--z-re", type=float, default=0.0)
-        s.add_argument("--z-im", type=float, default=0.0)
+    for name, (_, inputs) in COMMANDS.items():
+        # an absent flag leaves no attribute, so RunConfig's default applies;
+        # no abbreviations, or pacman-scan would read --N as --N-list
+        s = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for key in inputs:
+            flag, kind = _FLAGS[key]
+            s.add_argument(flag, dest=key, type=kind)
+        s.add_argument("--output", dest="output_path")
     return parser
 
 
 def config_from_args(argv: list[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        p=args.p,
-        lambda_modulus=args.lambda_modulus,
-        lambda_arg=args.lambda_arg,
-        epsilon=args.epsilon,
-        N=args.N,
-        beta=args.beta,
-        n_max=args.n_max,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        output_path=args.output,
-        n_list=_parse_n_list(args.N_list) if args.N_list else (),
-        z_re=args.z_re,
-        z_im=args.z_im,
-    )
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def run(config: RunConfig) -> int:
@@ -408,8 +405,9 @@ def run(config: RunConfig) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    body, _ = COMMANDS[config.command]
     try:
-        payload, ok = _BODIES[config.command](config)
+        payload, ok = body(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

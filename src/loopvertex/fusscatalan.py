@@ -88,11 +88,6 @@ class CutGeometry:
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
 
-    @property
-    def branch_point(self) -> float:
-        p = self.p
-        return (p - 1) ** (p - 1) / p**p
-
     def ray_angles(self, lam: complex) -> np.ndarray:
         """The 2p-2 ray angles for coupling lam != 0."""
         if lam == 0:

@@ -335,7 +335,9 @@ def _line_estimate(
         rows = _hermite_rows(x, big_n, level.gauss)
         num = _engine_matrix(spec, rows, site, level.weights, level.hw)
         (s_num, l_num), (s_den, l_den) = _log_norm(spec, num), level.log_norm
-        return complex(s_num / s_den * np.exp(l_num - l_den))
+        # an overflowing ratio becomes a non-finite level, which _doubling names
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(s_num / s_den * np.exp(l_num - l_den))
 
     try:
         value, gap, n_panels = _doubling(

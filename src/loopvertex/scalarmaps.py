@@ -29,6 +29,9 @@ BRANCH_TOL = 1e-12
 
 MAP_KINDS = ("f", "h", "k", "g")
 
+#: Gauss-Legendre nodes of g_integral_rep on the coupling segment
+G_NODES = 64
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -117,7 +120,7 @@ def eval_e(c: Coupling, t: complex, u) -> np.ndarray | complex:
     return complex(out[0]) if scalar else out
 
 
-def g_integral_rep(c: Coupling, u: complex, t_nodes: int = 64) -> complex:
+def g_integral_rep(c: Coupling, u: complex) -> complex:
     """g(u) as the quadrature of -(1/2) * u^(2p-1) * e_t(u) f_t(u) dt.
 
     The integration path is the straight segment from 0 to lam, which
@@ -126,10 +129,8 @@ def g_integral_rep(c: Coupling, u: complex, t_nodes: int = 64) -> complex:
     lam = complex(c.lam)
     if lam == 0:
         return 0.0 + 0.0j
-    if t_nodes < 1:
-        raise ValueError("t_nodes must be >= 1")
     u = complex(u)
-    s, w = np.polynomial.legendre.leggauss(t_nodes)
+    s, w = np.polynomial.legendre.leggauss(G_NODES)
     s = 0.5 * (s + 1.0)  # nodes on (0, 1)
     w = 0.5 * w
     ts = s * lam

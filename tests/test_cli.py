@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -42,27 +43,72 @@ def test_parser_covers_all_commands():
         assert args.command == name
 
 
+_COUPLING_FLAGS = {"--p", "--lambda-modulus", "--lambda-arg", "--epsilon"}
+_ENSEMBLE_FLAGS = {"--N", "--beta"}
+
+#: the flags each command body reads, besides --output
+_EXPECTED_FLAGS = {
+    "fc-eval": {"--p", "--z-re", "--z-im"},
+    "maps-check": _COUPLING_FLAGS | {"--seed"},
+    "contour-check": _COUPLING_FLAGS | {"--seed"},
+    "z-identity": _COUPLING_FLAGS | _ENSEMBLE_FLAGS,
+    "free-energy": _COUPLING_FLAGS | _ENSEMBLE_FLAGS,
+    "single-vertex": _COUPLING_FLAGS | _ENSEMBLE_FLAGS,
+    "lve-sum": _COUPLING_FLAGS | _ENSEMBLE_FLAGS | {"--n-max", "--mc-samples", "--seed"},
+    "jacobian-check": {"--p", "--N", "--lambda-modulus", "--lambda-arg", "--seed"},
+    "verify-bounds": {"--p", "--epsilon", "--seed"},
+    "pacman-scan": _COUPLING_FLAGS | {"--N-list", "--beta"},
+}
+
+
+def test_each_command_takes_and_records_only_the_inputs_it_reads(tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_EXPECTED_FLAGS) == set(COMMANDS)
+    every_flag = set().union(*_EXPECTED_FLAGS.values())
+    for name, flags in _EXPECTED_FLAGS.items():
+        actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+        assert {f for a in actions for f in a.option_strings} == flags | {"--output"}
+        out = tmp_path / name
+        _write_json(config_from_args([name, "--output", str(out)]), {})
+        recorded = set(load_json(out, name)["inputs"])
+        assert recorded == {a.dest for a in actions} | {"command"}
+        assert "output_path" in recorded
+        for flag in sorted(every_flag - flags):
+            assert main([name, flag, "1"]) == 2, (name, flag)
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
+def test_malformed_n_list_exits_2(tmp_path, capsys):
+    # argparse parses --N-list, so a bad list is a usage error, not a traceback
+    for text in ("abc", "1..2..3", "2,x"):
+        assert main(["pacman-scan", "--N-list", text, "--output", str(tmp_path)]) == 2
+        assert "--N-list" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_help_and_bad_command_exit_codes():
     assert main(["--help"]) == 0
     assert main(["no-such-command"]) == 2
 
 
-def test_config_errors_exit_2(tmp_path, monkeypatch):
-    # pacman sector violation
-    code = run_cli(
-        ["fc-eval", "--lambda-modulus", "0.1", "--lambda-arg", "3.1"],
-        tmp_path, monkeypatch,
-    )
-    assert code == 2
-    assert run_cli(["fc-eval", "--p", "1"], tmp_path, monkeypatch) == 2
-    assert run_cli(["fc-eval", "--beta", "3"], tmp_path, monkeypatch) == 2
-    # |lambda| above eta is rejected by Coupling
-    assert run_cli(["z-identity", "--lambda-modulus", "0.7"], tmp_path, monkeypatch) == 2
+def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
+    for argv in (
+        # pacman sector violation
+        ["z-identity", "--lambda-modulus", "0.1", "--lambda-arg", "3.1"],
+        ["fc-eval", "--p", "1"],
+        ["z-identity", "--beta", "3"],
+        # |lambda| above eta is rejected by Coupling
+        ["z-identity", "--lambda-modulus", "0.7"],
+    ):
+        assert run_cli(argv, tmp_path, monkeypatch) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
 
 
 def test_fc_eval_json_document(tmp_path, monkeypatch):
     code = run_cli(
-        ["fc-eval", "--p", "2", "--z-re", "0.1", "--seed", "4"],
+        ["fc-eval", "--p", "2", "--z-re", "0.1"],
         tmp_path, monkeypatch,
     )
     assert code == 0
@@ -71,21 +117,24 @@ def test_fc_eval_json_document(tmp_path, monkeypatch):
     assert "convention_ledger" in doc
     assert "covariance_beta2" in doc["convention_ledger"]
     assert doc["inputs"]["p"] == 2
-    assert doc["inputs"]["seed"] == 4
+    assert "seed" not in doc["inputs"]
     assert "results" in doc and "checks" in doc
     assert all(doc["checks"].values())
 
 
 def test_seed_reproducibility_byte_identical(tmp_path, monkeypatch):
-    argv = [
-        "z-identity", "--N", "2", "--lambda-modulus", "0.05",
-        "--mc-samples", "2000", "--seed", "9",
-    ]
-    assert run_cli(argv, tmp_path, monkeypatch) == 0
-    first = open(os.path.join(str(tmp_path), "z-identity.json"), "rb").read()
-    assert run_cli(argv, tmp_path, monkeypatch) == 0
-    second = open(os.path.join(str(tmp_path), "z-identity.json"), "rb").read()
-    assert first == second
+    def run_seed(seed):
+        argv = [
+            "lve-sum", "--N", "2", "--lambda-modulus", "0.0125",
+            "--mc-samples", "2000", "--seed", str(seed),
+        ]
+        assert run_cli(argv, tmp_path, monkeypatch) == 0
+        return open(os.path.join(str(tmp_path), "lve-sum.json"), "rb").read()
+
+    first = run_seed(9)
+    assert run_seed(9) == first
+    # the seed reaches the sampler
+    assert run_seed(10) != first
 
 
 def test_z_identity_quadrature_and_mc(tmp_path, monkeypatch):

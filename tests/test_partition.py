@@ -215,24 +215,28 @@ def test_stall_error_names_stage_input_and_gap(monkeypatch):
         partition._doubling(lambda m: complex("nan"), 1, 2, "probe", c, spec)
 
 
-@pytest.mark.parametrize("lam, n, beta", [
+@pytest.mark.parametrize("estimator, lam, n, beta", [
     # det overflowed, every level was nan, and complex abs raised OverflowError
-    (0.05 * np.exp(1j * (np.pi - 0.4)), 48, 2),
+    (z_direct, 0.05 * np.exp(1j * (np.pi - 0.4)), 48, 2),
     # the Pfaffian ratio overflowed with RuntimeWarnings before the stall
-    (0.05, 64, 1),
+    (z_direct, 0.05, 64, 1),
     # the ratio underflowed to 0 at every level, and two zeros "agreed"
-    (0.05 * np.exp(1j * (np.pi - 0.4)), 64, 2),
-    (0.05 * np.exp(-1j * (np.pi - 0.4)), 64, 2),
-    (0.05 * np.exp(1j * (np.pi - 0.4)), 96, 2),
-    (0.05 * np.exp(-1j * (np.pi - 0.4)), 96, 2),
+    (z_direct, 0.05 * np.exp(1j * (np.pi - 0.4)), 64, 2),
+    (z_direct, 0.05 * np.exp(-1j * (np.pi - 0.4)), 64, 2),
+    (z_direct, 0.05 * np.exp(1j * (np.pi - 0.4)), 96, 2),
+    (z_direct, 0.05 * np.exp(-1j * (np.pi - 0.4)), 96, 2),
+    # exp of the log ratio overflowed with a RuntimeWarning before the stall
+    (z_lvr, 0.2 * np.exp(1j * (np.pi - 0.4)), 96, 2),
+    (z_lvr, 0.5 * np.exp(1j * (np.pi - 0.4)), 96, 2),
 ], ids=["beta2-N48-rotated", "beta1-N64-real", "beta2-N64-zero+",
-        "beta2-N64-zero-", "beta2-N96-zero+", "beta2-N96-zero-"])
-def test_large_n_stall_raises_typed_error_without_warnings(lam, n, beta):
+        "beta2-N64-zero-", "beta2-N96-zero+", "beta2-N96-zero-",
+        "lvr-beta2-N96-0.2", "lvr-beta2-N96-0.5"])
+def test_large_n_stall_raises_typed_error_without_warnings(estimator, lam, n, beta):
     c = Coupling(lam=lam, p=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureUnderResolvedError) as exc:
-            z_direct(c, EnsembleSpec(N=n, beta=beta))
+            estimator(c, EnsembleSpec(N=n, beta=beta))
     msg = str(exc.value)
     for field in (f"lam={complex(c.lam):.6g}", f"N={n}", f"beta={beta}"):
         assert field in msg, (field, msg)
@@ -516,6 +520,20 @@ def test_free_energy_meets_planar_limit_complex_coupling():
     }
     for n in (32, 48):
         assert abs(scaled[n] - scaled[16]) <= 0.05 * scaled[16], scaled
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_free_energy_continuous_along_the_coupling_ray(n):
+    # F must stay on one sheet as |lambda| grows along a fixed direction:
+    # a jump of 2 pi / N^2 is a wrong branch.  Summing the principal logs
+    # of the per-k ratios h_k(lam)/h_k(0) jumps by about that much here
+    # (largest steps 0.165 at N = 6 and 0.087 at N = 8).
+    direction = 0.5 * np.exp(1j * (np.pi - 0.4))
+    f = np.array([
+        free_energy(Coupling(lam=t * direction, p=2), EnsembleSpec(N=n, beta=2))
+        for t in np.linspace(0.05, 1.0, 20)
+    ])
+    assert np.max(np.abs(np.diff(f))) < np.pi / n**2
 
 
 @pytest.mark.parametrize("n", [4, 5])
