@@ -8,7 +8,7 @@ interaction lambda Tr H^(2p).
 __version__ = "0.1.0"
 
 from .errors import LoopVertexError
-from .fusscatalan import FussCatalanParams, CutGeometry, fc_eval_many
+from .fusscatalan import FussCatalanParams, fc_eval_many
 from .scalarmaps import Coupling, eval_map, inverse_residual
 from .contour import KeyholeContour, build_keyhole, holo_apply
 from .matrixcore import EnsembleSpec, SpectralData, eigh
@@ -45,7 +45,6 @@ __all__ = [
     "__version__",
     "LoopVertexError",
     "FussCatalanParams",
-    "CutGeometry",
     "fc_eval_many",
     "Coupling",
     "eval_map",

@@ -71,16 +71,6 @@ def map_derivatives(c: Coupling, u) -> dict[str, np.ndarray]:
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     p = c.p
     lam = complex(c.lam)
-    if lam == 0:
-        one = np.ones_like(u)
-        return {
-            "t": one,
-            "logt": np.zeros_like(u),
-            "f": one,
-            "h": u.copy(),
-            "hp": one,
-            "hpp": np.zeros_like(u),
-        }
     z = -lam * u ** (2 * p - 2)
     z_over_u = -lam * u ** (2 * p - 3)  # z/u, finite at u = 0
     t = fc_eval_many(c.params, z)
@@ -180,10 +170,7 @@ def action_S(c: Coupling, spec: EnsembleSpec, s_k) -> ActionValue:
     spectrum gives complex parts, a batch (...) arrays of them.
     """
     kappa = _eigenvalues(s_k)
-    if complex(c.lam) == 0:
-        total = log_hp = np.zeros(kappa.shape[:-1], dtype=complex)
-    else:
-        total, log_hp = _action_sums(kappa, map_derivatives(c, kappa), spec.beta)
+    total, log_hp = _action_sums(kappa, map_derivatives(c, kappa), spec.beta)
     single = (1.0 - spec.beta / 2.0) * log_hp
     parts = (total, single, total - single)
     if kappa.ndim == 1:
@@ -219,12 +206,8 @@ def resolvent_entries(c: Coupling, s_k) -> ResolventEntries:
     (..., N, N).
     """
     kappa = _eigenvalues(s_k)
-    lam = complex(c.lam)
-    if lam == 0:
-        ones = np.ones(kappa.shape + kappa.shape[-1:])
-        return ResolventEntries(ones.astype(complex), ones)
     md = map_derivatives(c, kappa)
-    envelope = np.abs(lam) ** (1.0 / (2 * c.p)) * np.abs(md["h"]) ** (1.0 - 1.0 / c.p)
+    envelope = np.abs(c.lam) ** (1.0 / (2 * c.p)) * np.abs(md["h"]) ** (1.0 - 1.0 / c.p)
     bounds = np.maximum(
         1.0, np.maximum(envelope[..., :, None], envelope[..., None, :])
     )
@@ -270,8 +253,6 @@ def sigma_contour(c: Coupling, gamma: KeyholeContour, s_k) -> np.ndarray:
     result is (..., N, N).
     """
     kappa = _eigenvalues(s_k)
-    if complex(c.lam) == 0:
-        return np.zeros(kappa.shape + kappa.shape[-1:], dtype=complex)
     g = eval_map("g", c, gamma.nodes)
     ri = 1.0 / (gamma.nodes - kappa[..., None])  # (..., i, node)
     weighted = g * gamma.dnodes
@@ -281,8 +262,6 @@ def sigma_contour(c: Coupling, gamma: KeyholeContour, s_k) -> np.ndarray:
 def sigma_direct(c: Coupling, s_k) -> np.ndarray:
     """Divided-difference oracle (h(k_i) - h(k_j))/(k_i - k_j) - 1."""
     kappa = _eigenvalues(s_k)
-    if complex(c.lam) == 0:
-        return np.zeros(kappa.shape + kappa.shape[-1:], dtype=complex)
     md = map_derivatives(c, kappa)
     return divided_difference(kappa, md["h"], md["hp"]) - 1.0
 
@@ -293,8 +272,6 @@ def action_gradient_eigenvalues(c: Coupling, spec: EnsembleSpec, s_k) -> np.ndar
     Batch-first: s_k is a SpectralData or (..., N) eigenvalues.
     """
     kappa = _eigenvalues(s_k)
-    if complex(c.lam) == 0:
-        return np.zeros(kappa.shape, dtype=complex)
     md = map_derivatives(c, kappa)
     hp, hpp = md["hp"], md["hpp"]
     res = _resolvent_values(kappa, md)
@@ -363,8 +340,6 @@ def action_hessian(
     kappa, v = s_k.eigenvalues, s_k.eigenvectors
     v_adj = np.swapaxes(v.conj(), -1, -2)
     xt = v_adj @ x @ v
-    if complex(c.lam) == 0:
-        return np.zeros(xt.shape, dtype=complex)
     md = map_derivatives(c, kappa)
     hp, hpp = md["hp"], md["hpp"]
     h3 = _h_third(c, md)

@@ -12,6 +12,7 @@ the command, the output path and those flags:
     jacobian-check             --p --N --lambda-modulus --lambda-arg (0) --seed
     verify-bounds              --p --epsilon --seed
     pacman-scan                --p --N-list --beta --lambda-modulus --lambda-arg --epsilon
+                               (--N-list: lo..hi or a,b,c, at least 3 distinct N)
 
 Exit codes: 0 all asserted invariants pass, 1 an invariant failed
 (the failing check is named in the JSON), 2 configuration error.
@@ -361,11 +362,19 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _n_list_flag(text: str) -> tuple[int, ...]:
+    n_values = _parse_n_list(text)
+    # the trend fit's slope error needs three distinct N
+    if len(set(n_values)) < 3:
+        raise argparse.ArgumentTypeError(f"{text!r} gives fewer than 3 distinct N")
+    return n_values
+
+
 #: RunConfig field -> (flag, argparse type); the defaults are RunConfig's
 _FLAGS = {
     "p": ("--p", int),
     "N": ("--N", int),
-    "n_list": ("--N-list", _parse_n_list),
+    "n_list": ("--N-list", _n_list_flag),
     "beta": ("--beta", int),
     "lambda_modulus": ("--lambda-modulus", float),
     "lambda_arg": ("--lambda-arg", float),

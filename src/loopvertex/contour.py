@@ -31,7 +31,7 @@ from .errors import (
     QuadratureDivergenceError,
     SpectrumTooLargeError,
 )
-from .fusscatalan import CutGeometry, fc_cut_distance
+from .fusscatalan import fc_cut_distance
 from .matrixcore import SpectralData
 from .scalarmaps import Coupling
 
@@ -182,11 +182,10 @@ def build_keyhole(
     lam = complex(c.lam)
     r = 1.0
     if lam != 0:
-        geom = CutGeometry(c.p)
-        angles = geom.ray_angles(lam) % np.pi
+        angles = c.params.ray_angles(lam) % np.pi
         gap = float(np.min(np.minimum(angles, np.pi - angles)))
         psi = min(c.epsilon / 2.0, gap / 2.0)
-        start = geom.ray_start_radius(lam)
+        start = c.params.ray_start_radius(lam)
         if start <= 1.25 * r:
             # cut ray would pierce the central disk; shrink the cap
             r = 0.6 * start

@@ -17,6 +17,11 @@ Every value outside the inner disk must pass a branch certificate
 (residual, ``p |arg T| < pi``, ``Im T`` with the sign of ``Im z``, and
 ``|T| < p/(p-1)`` when ``|z| < bp``); a point that fails is recomputed by
 a dense continuation along the same path, which must pass it too.
+
+The scalar map ``u -> u*sqrt(T_p(-lambda u^(2p-2)))`` inherits 2p-2
+radial cuts from T_p; :meth:`FussCatalanParams.ray_angles` and
+:meth:`FussCatalanParams.ray_start_radius` locate them and
+:func:`fc_cut_distance` measures the distance to them.
 """
 
 from __future__ import annotations
@@ -73,23 +78,12 @@ class FussCatalanParams:
         p = self.p
         return (p - 1) ** (p - 1) / p**p
 
-
-@dataclass(frozen=True)
-class CutGeometry:
-    """Cut locus of the scalar map u -> u*sqrt(T_p(-lambda u^(2p-2))).
-
-    The map inherits 2p-2 radial cuts from T_p, one per solution of
-    ``-lambda u^(2p-2) in [branch_point, +inf)``.
-    """
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-
     def ray_angles(self, lam: complex) -> np.ndarray:
-        """The 2p-2 ray angles for coupling lam != 0."""
+        """Angles of the 2p-2 cut rays of u -> u*sqrt(T_p(-lam u^(2p-2))).
+
+        One ray per solution of ``-lam u^(2p-2) in [branch_point, +inf)``;
+        there are none at lam = 0.
+        """
         if lam == 0:
             raise ValueError("cut rays are undefined for lambda = 0")
         p = self.p
@@ -343,13 +337,10 @@ def fc_log_deriv_many(params: FussCatalanParams, z) -> np.ndarray:
 
 def fc_cut_distance(params: FussCatalanParams, lam: complex, u) -> np.ndarray:
     """Distance from u to the union of the 2p-2 cut rays of the scalar map."""
-    if lam == 0:
-        raise ValueError("cut rays are undefined for lambda = 0")
+    r0 = params.ray_start_radius(lam)
     u = np.asarray(u, dtype=complex)
-    geom = CutGeometry(params.p)
-    r0 = geom.ray_start_radius(lam)
     best = None
-    for theta in geom.ray_angles(lam):
+    for theta in params.ray_angles(lam):
         v = u * np.exp(-1j * theta)
         s = np.clip(v.real, r0, None)
         d = np.abs(v - s)

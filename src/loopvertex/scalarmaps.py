@@ -37,8 +37,9 @@ G_NODES = 64
 class Coupling:
     """Complex coupling with its pacman-domain parameters.
 
-    ``lam = 0`` is allowed as an explicit degenerate flag: every map is
-    then the identity (or zero, for g).
+    ``lam = 0`` needs no flag: T_p(0) = 1, so every map is then the
+    identity (or zero, for g) by plain arithmetic.  A non-finite lam is
+    rejected.
     """
 
     lam: complex
@@ -51,9 +52,11 @@ class Coupling:
             raise ValueError("p must be >= 2")
         if not 0.0 < self.epsilon < np.pi:
             raise ValueError("epsilon must lie in (0, pi)")
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise ValueError("eta must be positive")
         lam = complex(self.lam)
+        if not np.isfinite(lam):
+            raise ValueError(f"lambda = {lam} is not finite")
         if lam != 0:
             if abs(lam) > self.eta * (1 + 1e-12):
                 raise ValueError(f"|lambda|={abs(lam)} exceeds eta={self.eta}")
@@ -85,16 +88,6 @@ def eval_map(kind: str, c: Coupling, u) -> np.ndarray | complex:
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     lam = complex(c.lam)
     p = c.p
-
-    if lam == 0:
-        if kind == "f":
-            out = np.ones_like(u)
-        elif kind == "g":
-            out = np.zeros_like(u)
-        else:
-            out = u.copy()
-        return complex(out[0]) if scalar else out
-
     if kind == "k":
         w = 1.0 + lam * u ** (2 * p - 2)
         out = u * _principal_sqrt(w, "k")
@@ -127,8 +120,6 @@ def g_integral_rep(c: Coupling, u: complex) -> complex:
     stays inside the pacman domain (star-shaped about the origin).
     """
     lam = complex(c.lam)
-    if lam == 0:
-        return 0.0 + 0.0j
     u = complex(u)
     s, w = np.polynomial.legendre.leggauss(G_NODES)
     s = 0.5 * (s + 1.0)  # nodes on (0, 1)
@@ -153,10 +144,7 @@ def inverse_residual(c: Coupling, z) -> np.ndarray | float:
     """
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if complex(c.lam) == 0:
-        out = np.zeros(z.shape)
-    else:
-        hk = eval_map("h", c, eval_map("k", c, z))
-        kh = eval_map("k", c, eval_map("h", c, z))
-        out = np.maximum(np.abs(hk - z), np.abs(kh - z))
+    hk = eval_map("h", c, eval_map("k", c, z))
+    kh = eval_map("k", c, eval_map("h", c, z))
+    out = np.maximum(np.abs(hk - z), np.abs(kh - z))
     return float(out[0]) if scalar else out

@@ -29,6 +29,7 @@ energy prefactor is N^(-2).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
@@ -108,16 +109,12 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> LabeledTree:
     """The classical bijection from sequences in {1..n}^(n-2) to trees."""
     if n == 1:
         return LabeledTree(n=1, edges=())
-    if n == 2:
-        return LabeledTree(n=2, edges=((1, 2),))
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
     edges = []
     seq = list(seq)
     leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-    import heapq
-
     heapq.heapify(leaves)
     for v in seq:
         leaf = heapq.heappop(leaves)
@@ -133,14 +130,10 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> LabeledTree:
 def prufer_encode(t: LabeledTree) -> tuple[int, ...]:
     """Inverse of prufer_decode: repeatedly strip the smallest leaf."""
     n = t.n
-    if n <= 2:
-        return ()
     adj = {v: set() for v in range(1, n + 1)}
     for i, j in t.edges:
         adj[i].add(j)
         adj[j].add(i)
-    import heapq
-
     leaves = [v for v in adj if len(adj[v]) == 1]
     heapq.heapify(leaves)
     seq = []
@@ -159,13 +152,7 @@ def enumerate_trees(n: int):
     """All labeled trees on n vertices, once each (Cayley count n^(n-2))."""
     if not 1 <= n <= MAX_TREE_ORDER:
         raise OutOfRangeError(f"n must be in [1, {MAX_TREE_ORDER}]")
-    if n == 1:
-        yield LabeledTree(n=1, edges=())
-        return
-    if n == 2:
-        yield LabeledTree(n=2, edges=((1, 2),))
-        return
-    for seq in _iproduct(range(1, n + 1), repeat=n - 2):
+    for seq in _iproduct(range(1, n + 1), repeat=max(n - 2, 0)):
         yield prufer_decode(seq, n)
 
 

@@ -23,7 +23,7 @@ from loopvertex.action import (
 from loopvertex.contour import build_keyhole, holo_apply, min_spectrum_distance
 from loopvertex.errors import LogBranchAmbiguityError, PoleCollisionError
 from loopvertex.matrixcore import EnsembleSpec, SpectralData, eigh, sample_gaussian_batch
-from loopvertex.scalarmaps import Coupling, eval_map
+from loopvertex.scalarmaps import Coupling, eval_map, g_integral_rep, inverse_residual
 
 
 def random_hermitian(n, beta, rng, scale=0.6):
@@ -377,6 +377,47 @@ def test_action_hessian_zero_coupling():
     s = eigh(np.diag([0.1, 0.7]))
     x = np.array([[1.0, 2.0j], [0.5, -1.0]])
     assert np.all(action_hessian(Coupling(lam=0.0, p=2), EnsembleSpec(N=2), s, x) == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(2, 6),
+    beta=st.sampled_from([1, 2]),
+    size=st.integers(1, 4),
+    n=st.integers(1, 6),
+    u=st.lists(
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=5,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_coupling_general_path_property(p, beta, size, n, u, seed):
+    # lam = 0 takes the general path: T_p(0) = 1 makes every map the identity
+    c = Coupling(lam=0.0, p=p)
+    u = np.array(u, dtype=complex)
+    assert np.all(eval_map("f", c, u) == 1.0)
+    assert np.all(eval_map("h", c, u) == u)
+    assert np.all(eval_map("k", c, u) == u)
+    assert np.all(eval_map("g", c, u) == 0.0)
+    assert np.all(inverse_residual(c, u) == 0.0)
+    assert all(g_integral_rep(c, ui) == 0.0 for ui in u)
+    md = map_derivatives(c, u)
+    assert np.all(md["h"] == u) and np.all(md["hp"] == 1.0) and np.all(md["hpp"] == 0.0)
+
+    rng = np.random.default_rng(seed)
+    spec = EnsembleSpec(N=n, beta=beta)
+    s = eigh(sample_gaussian_batch(spec, rng, size))
+    x = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    val = action_S(c, spec, s)
+    for part in (val.total, val.single_trace_part, val.double_trace_part):
+        assert np.max(np.abs(part)) <= 1e-13
+    assert np.max(np.abs(sigma_direct(c, s))) <= 1e-13
+    assert np.max(np.abs(resolvent_entries(c, s).values - 1.0)) <= 1e-13
+    # the resolvent's divided difference is 1 up to one rounding, which the
+    # gradient's gap quotients amplify by 1/gap and the Hessian's by 1/gap^2
+    gap = np.min(np.diff(s.eigenvalues, axis=-1), initial=np.inf)
+    assert np.max(np.abs(action_gradient(c, spec, s))) <= 1e-13 * (1 + 1 / gap)
+    assert np.max(np.abs(action_hessian(c, spec, s, x))) <= 1e-13 * (1 + 1 / gap**2)
 
 
 def test_h_third_matches_mpmath_closed_form():

@@ -82,7 +82,8 @@ def test_each_command_takes_and_records_only_the_inputs_it_reads(tmp_path, capsy
 
 def test_malformed_n_list_exits_2(tmp_path, capsys):
     # argparse parses --N-list, so a bad list is a usage error, not a traceback
-    for text in ("abc", "1..2..3", "2,x"):
+    # an empty or reversed range, or fewer than 3 distinct N, leaves the trend fit undefined
+    for text in ("abc", "1..2..3", "2,x", "1", "1,2", "5..2"):
         assert main(["pacman-scan", "--N-list", text, "--output", str(tmp_path)]) == 2
         assert "--N-list" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -101,6 +102,10 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["z-identity", "--beta", "3"],
         # |lambda| above eta is rejected by Coupling
         ["z-identity", "--lambda-modulus", "0.7"],
+        # a non-finite lambda is rejected by Coupling
+        ["z-identity", "--lambda-modulus", "nan"],
+        ["z-identity", "--lambda-modulus", "0.05", "--lambda-arg", "nan"],
+        ["maps-check", "--lambda-modulus", "nan"],
     ):
         assert run_cli(argv, tmp_path, monkeypatch) == 2, argv
         assert "config error" in capsys.readouterr().err, argv

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from loopvertex import fusscatalan
 from loopvertex.errors import CutProximityError, NonConvergenceError
 from loopvertex.fusscatalan import (
-    CutGeometry,
     FussCatalanParams,
     fc_cut_distance,
     fc_eval_many,
@@ -128,7 +127,7 @@ def test_log_deriv_matches_finite_difference():
 
 
 def test_cut_geometry():
-    geom = CutGeometry(2)
+    geom = FussCatalanParams(2)
     assert geom.ray_start_radius(1.0) == pytest.approx(0.5)
     # p=2, lam=1: two rays at +-pi/2
     angles = np.sort(geom.ray_angles(1.0) % (2 * np.pi))

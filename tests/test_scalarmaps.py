@@ -30,6 +30,17 @@ def test_coupling_validation():
     Coupling(lam=0.0)  # degenerate flag allowed
 
 
+@pytest.mark.parametrize(
+    "lam", [float("nan"), complex(0.01, float("nan")), float("inf"), complex(float("inf"), 0.0)]
+)
+def test_coupling_rejects_non_finite_lambda(lam):
+    # every sector and modulus comparison is False for NaN, so it must be caught first
+    with pytest.raises(ValueError, match="lambda"):
+        Coupling(lam=lam)
+    with pytest.raises(ValueError, match="eta"):
+        Coupling(lam=0.01, eta=float("nan"))
+
+
 def test_k_map_value():
     c = Coupling(lam=0.1, p=2)
     assert eval_map("k", c, 1.0) == pytest.approx(np.sqrt(1.1), rel=1e-12)
