@@ -18,12 +18,13 @@ Every such array is a divided difference, and one kernel,
 ``divided_difference``, builds them all: it maps (..., N) points,
 values and derivatives to the (..., N, N) ratio matrix and takes the
 derivative limit wherever two points lie closer than COINCIDENCE_TOL.
-The action, Sigma, the resolvent, the gradient, the tree amplitudes and
-the Monte Carlo integrands all go through it.  Every function of a
-spectrum is batch-first: the action and its split, Sigma (by quadrature
-or directly), the resolvent, corner, gradient and Hessian take a
-SpectralData or a (..., N) stack of eigenvalues (the gradient and the
-Hessian need the eigenvectors too), and a single spectrum is a batch of
+The action, Sigma, the resolvent, the gradient, the Jacobian positivity
+check, the tree amplitudes and the Monte Carlo integrands all go through
+it.  Every function of a spectrum is batch-first: the action and its
+split, Sigma (by quadrature or directly), the resolvent, corner,
+gradient and Hessian take a SpectralData or a (..., N) stack of
+eigenvalues (the gradient and the Hessian need the eigenvectors too),
+the Jacobian check a (..., N) stack, and a single spectrum is a batch of
 one.  action_hessian, the derivative of the gradient along a matrix
 direction, builds its second-order quotients from the same kernel; the
 third derivative of h it needs is computed there only.
@@ -365,74 +366,27 @@ def action_hessian(
     return v @ dgt @ v_adj
 
 
-def jacobian_pair_scan(p: int, lam: float, s_i, s_j) -> dict:
-    """Vectorized positivity factors for eigenvalue pairs at real lam > 0.
-
-    For pairs of opposite sign the divided difference itself is checked;
-    for same-sign pairs the telescoped geometric-sum factor and the
-    sqrt-denominator ratio are checked separately.
-    """
-    if not lam > 0:
-        raise ValueError("the positivity scan requires real lambda > 0")
-    s_i = np.atleast_1d(np.asarray(s_i, dtype=float))
-    s_j = np.atleast_1d(np.asarray(s_j, dtype=float))
-    from .fusscatalan import FussCatalanParams
-
-    params = FussCatalanParams(p)
-    t_i = fc_eval_many(params, -lam * s_i ** (2 * p - 2)).real
-    t_j = fc_eval_many(params, -lam * s_j ** (2 * p - 2)).real
-
-    coincident = np.abs(s_i - s_j) < 1e-12
-    opposite = (s_i * s_j <= 0) & ~coincident
-    same = ~opposite & ~coincident
-
-    ok = np.ones(s_i.shape, dtype=bool)
-
-    # coincident pairs: h'(s) > 0
-    if np.any(coincident):
-        hp = _hp_real(p, lam, s_i[coincident])
-        ok[coincident] &= hp > 0
-
-    # opposite signs: the divided difference is manifestly positive
-    if np.any(opposite):
-        num = s_i[opposite] * np.sqrt(t_i[opposite]) - s_j[opposite] * np.sqrt(
-            t_j[opposite]
-        )
-        ok[opposite] &= num / (s_i[opposite] - s_j[opposite]) > 0
-
-    # same sign: geometric-sum factor and sqrt-denominator ratio
-    if np.any(same):
-        a = s_i[same] ** 2 * t_i[same]
-        b = s_j[same] ** 2 * t_j[same]
-        ks = np.arange(p)
-        geom = 1.0 + lam * np.sum(
-            a[..., None] ** ks * b[..., None] ** (p - 1 - ks), axis=-1
-        )
-        ratio = (s_i[same] + s_j[same]) / (
-            s_i[same] * np.sqrt(t_i[same]) + s_j[same] * np.sqrt(t_j[same])
-        )
-        ok[same] &= (geom > 0) & (ratio > 0)
-
-    return {
-        "positive": ok,
-        "n_pairs": int(ok.size),
-        "n_failures": int(np.sum(~ok)),
-    }
-
-
-def _hp_real(p: int, lam: float, s: np.ndarray) -> np.ndarray:
-    c = Coupling(lam, epsilon=0.1, eta=max(abs(lam), 1e-12), p=p)
-    return map_derivatives(c, s.astype(complex))["hp"].real
-
-
 def jacobian_check(p: int, lam: float, eigs) -> dict:
-    """Positivity report for the full Jacobian of a spectrum at real lam > 0."""
+    """Positivity of the Jacobian pair factors of spectra at real 0 < lam < inf.
+
+    The factors are the divided differences (h(s_i) - h(s_j))/(s_i - s_j)
+    of h, h' on the diagonal.  They are positive for every real lam > 0,
+    beyond the pacman radius too, so the coupling's eta is lam itself.
+    Batch-first: eigs is (N,) or (..., N); "positive" is (..., N, N) and
+    "overall_positive" a bool for one spectrum, a (...) array for a stack.
+    """
+    if not 0 < lam < np.inf:
+        raise ValueError(f"the Jacobian check needs real 0 < lambda < inf, got {lam}")
     eigs = np.asarray(eigs, dtype=float)
-    n = len(eigs)
-    ii, jj = np.triu_indices(n)
-    scan = jacobian_pair_scan(p, lam, eigs[ii], eigs[jj])
-    factors = [
-        {"pair": (int(a), int(b)), "positive": bool(okv)}
-        for a, b, okv in zip(ii, jj, scan["positive"])
-    ]
-    return {"overall_positive": bool(np.all(scan["positive"])), "factors": factors}
+    md = map_derivatives(Coupling(lam, eta=lam, p=p), eigs)
+    positive = divided_difference(eigs, md["h"], md["hp"]).real > 0
+    overall = positive.all(axis=(-2, -1))
+    return {"overall_positive": overall if eigs.ndim > 1 else bool(overall),
+            "positive": positive}
+
+
+def jacobian_pair_scan(p: int, lam: float, s_i, s_j) -> dict:
+    """jacobian_check on the 2 x 2 pair spectra (s_i, s_j), broadcast together."""
+    pairs = np.stack(np.broadcast_arrays(np.atleast_1d(s_i), np.atleast_1d(s_j)), axis=-1)
+    ok = jacobian_check(p, lam, pairs)["overall_positive"]
+    return {"positive": ok, "n_pairs": int(ok.size), "n_failures": int(np.sum(~ok))}

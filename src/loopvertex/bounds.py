@@ -31,6 +31,7 @@ from .trees import single_vertex_amplitude
 PACMAN_MODULI = (1e-3, 1e-2, 1e-1)
 FACTOR_SWEEP_MODULI = tuple(np.logspace(-4, -1, 7))
 DEFAULT_EPSILON = 0.2
+#: spectral radius of every keyhole the suites build
 DEFAULT_SPECTRAL_RADIUS = 1.0
 
 
@@ -139,14 +140,13 @@ def fc_decay_suite(p: int, epsilon: float = DEFAULT_EPSILON, n_points: int = 100
     )
 
 
-def g_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON,
-                  spectral_radius: float = DEFAULT_SPECTRAL_RADIUS) -> BoundReport:
+def g_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON) -> BoundReport:
     """|g(u)| <= C |lambda|^(1/4p^2) |u|^(1 + 1/2p - 1/2p^2) on keyholes."""
     ratios, samples = [], []
     expo_lam = 1.0 / (4 * p * p)
     expo_u = 1.0 + 1.0 / (2 * p) - 1.0 / (2 * p * p)
     for c in _pacman_couplings(p, epsilon):
-        gamma = build_keyhole(spectral_radius, c)
+        gamma = build_keyhole(DEFAULT_SPECTRAL_RADIUS, c)
         u = gamma.nodes
         g = np.asarray(eval_map("g", c, u))
         envelope = abs(c.lam) ** expo_lam * np.abs(u) ** expo_u
@@ -188,19 +188,18 @@ def resolvent_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON,
 
 def corner_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON,
                        n_spectra: int = 40, n_node_pairs: int = 60,
-                       big_n: int = 3, seed: int = 0,
-                       spectral_radius: float = DEFAULT_SPECTRAL_RADIUS) -> BoundReport:
+                       big_n: int = 3, seed: int = 0) -> BoundReport:
     """max_ij |O_ij(u_k, u_k1)| <= C (1+|u_k|)^(-1-1/p) (1+|u_k1|)^(-1).
 
     Per pacman coupling, one corner-operator call over all spectra and
     node pairs, shape (n_spectra, n_node_pairs, big_n, big_n).
     """
     rng = np.random.default_rng(seed)
-    spectra = _random_spectra(rng, n_spectra, big_n, 0.45 * spectral_radius)
+    spectra = _random_spectra(rng, n_spectra, big_n, 0.45 * DEFAULT_SPECTRAL_RADIUS)
     eigs = np.sort(spectra, axis=-1)
     ratios, pairs = [], []
     for c in _pacman_couplings(p, epsilon):
-        gamma = build_keyhole(spectral_radius, c)
+        gamma = build_keyhole(DEFAULT_SPECTRAL_RADIUS, c)
         idx = rng.integers(0, len(gamma.nodes), (n_node_pairs, 2))
         u_k, u_k1 = gamma.nodes[idx[:, 0]], gamma.nodes[idx[:, 1]]
         o = corner_operator(c, eigs, u_k, u_k1)
@@ -219,13 +218,12 @@ def corner_bound_suite(p: int, epsilon: float = DEFAULT_EPSILON,
 
 
 def contour_resolvent_suite(p: int, epsilon: float = DEFAULT_EPSILON,
-                            spectral_radius: float = DEFAULT_SPECTRAL_RADIUS,
                             n_eigs: int = 200, seed: int = 0) -> BoundReport:
     """|1/(u - mu)| <= C min(1/(1+|u|), 1/(1+|mu|)) on nodes x spectra."""
     rng = np.random.default_rng(seed)
     ratios, samples = [], []
     for c in _pacman_couplings(p, epsilon):
-        gamma = build_keyhole(spectral_radius, c)
+        gamma = build_keyhole(DEFAULT_SPECTRAL_RADIUS, c)
         mu = rng.uniform(-gamma.R / 2, gamma.R / 2, n_eigs)
         u = gamma.nodes[:, None]
         env = np.minimum(1.0 / (1.0 + np.abs(u)), 1.0 / (1.0 + np.abs(mu[None, :])))
@@ -239,8 +237,7 @@ def contour_resolvent_suite(p: int, epsilon: float = DEFAULT_EPSILON,
 
 
 def contour_factor_values(p: int, arg_lam: float, epsilon: float = DEFAULT_EPSILON,
-                          moduli=FACTOR_SWEEP_MODULI,
-                          spectral_radius: float = DEFAULT_SPECTRAL_RADIUS):
+                          moduli=FACTOR_SWEEP_MODULI):
     """Quadrature values of the contour factor integral along one ray.
 
     I(lambda) = closed-contour integral of |g(u)| (1+|u|)^(-2-1/p) |du|.
@@ -248,22 +245,19 @@ def contour_factor_values(p: int, arg_lam: float, epsilon: float = DEFAULT_EPSIL
     values = []
     for mod in moduli:
         c = Coupling(lam=mod * np.exp(1j * arg_lam), epsilon=epsilon, p=p)
-        gamma = build_keyhole(spectral_radius, c)
+        gamma = build_keyhole(DEFAULT_SPECTRAL_RADIUS, c)
         g = np.asarray(eval_map("g", c, gamma.nodes))
         integrand = np.abs(g) * (1.0 + np.abs(gamma.nodes)) ** (-2.0 - 1.0 / p)
         values.append(float(np.sum(integrand * np.abs(gamma.dnodes))))
     return np.asarray(moduli, dtype=float), np.asarray(values)
 
 
-def contour_factor_suite(p: int, epsilon: float = DEFAULT_EPSILON,
-                         spectral_radius: float = DEFAULT_SPECTRAL_RADIUS) -> BoundReport:
+def contour_factor_suite(p: int, epsilon: float = DEFAULT_EPSILON) -> BoundReport:
     """I(lambda) <= C |lambda|^(1/4p^2) across moduli on each pacman ray."""
     expo = 1.0 / (4 * p * p)
     ratios, samples, slopes = [], [], []
     for arg in pacman_args(epsilon):
-        moduli, values = contour_factor_values(
-            p, arg, epsilon, spectral_radius=spectral_radius
-        )
+        moduli, values = contour_factor_values(p, arg, epsilon)
         r = values / moduli**expo
         k = int(np.argmax(r))
         ratios.append(float(r[k]))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .action import jacobian_pair_scan
+from .action import jacobian_check
 from .bounds import all_bound_suites
 from .contour import build_keyhole
 from .errors import ConfigError, LoopVertexError
@@ -38,7 +38,7 @@ from .fusscatalan import FussCatalanParams, fc_eval_many
 from .matrixcore import EnsembleSpec
 from .partition import free_energy, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
-from .trees import lve_truncated_F, single_vertex_amplitude
+from .trees import MAX_AMPLITUDE_VERTICES, lve_truncated_F, single_vertex_amplitude
 
 SCHEMA_VERSION = 4
 
@@ -85,8 +85,10 @@ class RunConfig:
             raise ConfigError("arg lambda outside the pacman sector")
         if self.mc_samples < 1:
             raise ConfigError("counts must be positive")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
+        if not 1 <= self.n_max <= MAX_AMPLITUDE_VERTICES:
+            raise ConfigError(f"n_max must lie in [1, {MAX_AMPLITUDE_VERTICES}]")
+        if not np.isfinite(complex(self.z_re, self.z_im)):
+            raise ConfigError("z must be finite")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("N-list entries must be >= 1")
 
@@ -251,17 +253,13 @@ def _cmd_single_vertex(config: RunConfig):
 
 
 def _cmd_jacobian_check(config: RunConfig):
-    if config.lambda_arg != 0.0 or config.lambda_modulus <= 0:
-        raise ConfigError("jacobian-check needs real lambda > 0")
+    if config.lambda_arg != 0.0 or not 0 < config.lambda_modulus < np.inf:
+        raise ConfigError("jacobian-check needs real 0 < lambda < inf")
     rng = np.random.default_rng(config.seed)
     n_specs = 200
     eigs = rng.uniform(-5, 5, (n_specs, config.N))
-    ii, jj = np.triu_indices(config.N)
-    scan = jacobian_pair_scan(
-        config.p, config.lambda_modulus, eigs[:, ii].ravel(), eigs[:, jj].ravel()
-    )
-    positive = scan["positive"].reshape(n_specs, len(ii))
-    n_fail = int(np.sum(~positive.all(axis=1)))
+    report = jacobian_check(config.p, config.lambda_modulus, eigs)
+    n_fail = int(np.sum(~report["overall_positive"]))
     ok = n_fail == 0
     return {
         "results": {"n_spectra": n_specs, "n_failures": n_fail},

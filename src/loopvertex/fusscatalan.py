@@ -36,6 +36,7 @@ from .errors import (
     BranchPointProximityError,
     CutProximityError,
     NonConvergenceError,
+    OutOfRangeError,
 )
 
 #: terms of the Fuss-Catalan series summed inside the inner disk
@@ -170,6 +171,8 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
 
     Raises
     ------
+    OutOfRangeError
+        if any point is not finite.
     CutProximityError
         if any point is within CUT_TOL of the cut.
     NonConvergenceError
@@ -184,6 +187,9 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
     inner = radius <= SERIES_RADIUS_FACTOR * bp
     if inner.all():
         return _power_series(z, coeffs).reshape(shape)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise OutOfRangeError(f"p={p}: z={complex(z[np.argmin(finite)])} is not finite")
 
     dist = cut_distance_to_positive_ray(params, z)
     near = dist < CUT_TOL

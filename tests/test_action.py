@@ -212,6 +212,12 @@ def test_jacobian_check_positive():
     assert rep2["overall_positive"]
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_jacobian_check_rejects_lambda_outside_zero_to_inf(lam):
+    with pytest.raises(ValueError, match=f"lambda < inf, got {lam}"):
+        jacobian_check(2, lam, [-1.0, 2.0])
+
+
 def _reference_divided_difference(x, fx, dfx):
     """Per-spectrum loop: (fx_i - fx_j)/(x_i - x_j), mean derivative if coincident."""
     n = len(x)
@@ -454,6 +460,7 @@ def _batch_first_values(c, spec, gamma, s):
         "holo_apply": holo_apply(lambda u: eval_map("h", c, u), gamma, s),
         "cauchy": gamma.cauchy(s.eigenvalues),
         "min_spectrum_distance": min_spectrum_distance(gamma, s.eigenvalues),
+        "jacobian_check": jacobian_check(c.p, abs(complex(c.lam)), s.eigenvalues)["positive"],
     }
 
 

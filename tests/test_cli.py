@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from loopvertex import action
 from loopvertex.action import jacobian_check
 from loopvertex.contour import build_keyhole
 from loopvertex.cli import (
@@ -106,6 +107,13 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["z-identity", "--lambda-modulus", "nan"],
         ["z-identity", "--lambda-modulus", "0.05", "--lambda-arg", "nan"],
         ["maps-check", "--lambda-modulus", "nan"],
+        # a non-finite z, lambda or an n_max above the amplitude limit
+        ["fc-eval", "--z-re", "nan"],
+        ["fc-eval", "--z-re", "1e400"],
+        ["fc-eval", "--z-im", "inf"],
+        ["jacobian-check", "--lambda-modulus", "nan"],
+        ["jacobian-check", "--lambda-modulus", "inf"],
+        ["lve-sum", "--n-max", "4"],
     ):
         assert run_cli(argv, tmp_path, monkeypatch) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
@@ -169,6 +177,25 @@ def test_jacobian_check_requires_real_positive_coupling(tmp_path, monkeypatch):
         ["jacobian-check", "--lambda-modulus", "1.0"], tmp_path, monkeypatch
     )
     assert code == 0
+
+
+def test_jacobian_check_negative_control(tmp_path, monkeypatch):
+    """A map h that is not increasing fails the check, in the library and the CLI."""
+    true_map_derivatives = action.map_derivatives
+
+    def decreasing_at_first_point(c, u):
+        md = dict(true_map_derivatives(c, u))
+        for key in ("h", "hp"):
+            md[key] = md[key].copy()
+            md[key][..., 0] *= -1.0
+        return md
+
+    monkeypatch.setattr(action, "map_derivatives", decreasing_at_first_point)
+    assert not jacobian_check(2, 1.0, [-1.0, 2.0])["overall_positive"]
+    assert not jacobian_check(2, 1.0, np.array([[-1.0, 2.0], [0.5, 3.0]]))[
+        "overall_positive"].any()
+    assert run_cli(["jacobian-check", "--lambda-modulus", "1.0"], tmp_path, monkeypatch) == 1
+    assert load_json(tmp_path, "jacobian-check")["results"]["n_failures"] == 200
 
 
 def test_single_vertex_output(tmp_path, monkeypatch):

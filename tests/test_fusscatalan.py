@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopvertex import fusscatalan
-from loopvertex.errors import CutProximityError, NonConvergenceError
+from loopvertex.errors import CutProximityError, NonConvergenceError, OutOfRangeError
 from loopvertex.fusscatalan import (
     FussCatalanParams,
     fc_cut_distance,
@@ -287,6 +287,14 @@ def test_cut_proximity_error_names_p_point_and_distance():
     with pytest.raises(CutProximityError,
                        match=r"p=2: z=\(0\.3\+5e-09j\) lies 5\.000e-09 from the cut"):
         fc_eval_many(FussCatalanParams(2), z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf + 1j, complex(0.1, np.nan)])
+def test_non_finite_point_raises_out_of_range(bad):
+    # checked before any continuation: no numpy warning, no cut verdict
+    with pytest.raises(OutOfRangeError, match=r"p=3: z=.* is not finite"):
+        fc_eval_many(FussCatalanParams(3), np.array([0.01, 5.0 + 1j, bad]))
 
 
 def test_non_convergence_error_names_p_point_and_residual(monkeypatch):
