@@ -27,6 +27,7 @@ from .partition import (
     z_direct,
     z_lvr,
     free_energy,
+    topological_free_energy,
     gaussian_moment_exact,
 )
 from .trees import (
@@ -67,6 +68,7 @@ __all__ = [
     "z_direct",
     "z_lvr",
     "free_energy",
+    "topological_free_energy",
     "gaussian_moment_exact",
     "LabeledTree",
     "WeakeningVector",

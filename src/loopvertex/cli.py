@@ -36,7 +36,7 @@ from .contour import build_keyhole
 from .errors import ConfigError, LoopVertexError
 from .fusscatalan import FussCatalanParams, fc_eval_many
 from .matrixcore import EnsembleSpec
-from .partition import free_energy, z_direct, z_lvr
+from .partition import free_energy, topological_free_energy, z_direct, z_lvr
 from .scalarmaps import Coupling, inverse_residual
 from .trees import MAX_AMPLITUDE_VERTICES, lve_truncated_F, single_vertex_amplitude
 
@@ -48,6 +48,8 @@ CONVENTION_LEDGER = {
     "covariance_beta1": "E[H_ij H_kl] = (delta_il delta_jk + delta_ik delta_jl) / (4N)",
     "cauchy_normalization": "1/(2 pi i) included in all contour calculus",
     "edge_factor": "1/(2N) per tree edge, matching the declared covariance",
+    "log_branch": "F = N^-2 (principal log Z + 2 pi i m), m the integer nearest "
+    "to Im(N^2 F_topo - log Z)/(2 pi); refused when N^2 |F - F_topo| > pi/2",
 }
 
 
@@ -85,6 +87,8 @@ class RunConfig:
             raise ConfigError("arg lambda outside the pacman sector")
         if self.mc_samples < 1:
             raise ConfigError("counts must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 1 <= self.n_max <= MAX_AMPLITUDE_VERTICES:
             raise ConfigError(f"n_max must lie in [1, {MAX_AMPLITUDE_VERTICES}]")
         if not np.isfinite(complex(self.z_re, self.z_im)):
@@ -210,10 +214,15 @@ def _cmd_z_identity(config: RunConfig):
 
 
 def _cmd_free_energy(config: RunConfig):
-    f = free_energy(config.coupling(), config.ensemble())
+    c, spec = config.coupling(), config.ensemble()
+    f, topo = free_energy(c, spec), topological_free_energy(c, spec)
     ok = np.isfinite(f.real) and np.isfinite(f.imag)
     return {
-        "results": {"free_energy": _c2d(f)},
+        "results": {
+            "free_energy": _c2d(f),
+            "free_energy_topological": _c2d(topo),
+            "topological_residual": spec.N**2 * abs(f - topo),
+        },
         "checks": {"finite": bool(ok)},
     }, ok
 

@@ -27,23 +27,25 @@ layout; the first doubling step evaluates the numerator's scalar map on
 both of its levels in one call.  The single-vertex amplitude (trees.py)
 uses the same panels and Hermite recurrence.
 
-log Z is the integral over t in [0, 1] of the log-derivative of the
-determinant (or Pfaffian) at coupling t lam, so F follows Z from
-lam = 0 and never picks a branch of the logarithm.  Monte Carlo
-estimates of Z remain as an independent oracle.  Both integrands depend
-on the spectrum alone, so each draw is the real tridiagonal matrix of
-the Dumitriu-Edelman model (matrixcore.sample_tridiagonal_batch), whose
-eigenvalues follow the ensemble's law from 2N - 1 real variates: the
-direct integrand takes Tr H^2p = Tr(T^p T^p) from p - 1 real matrix
-products, and only the change of variables diagonalizes T.  An estimate
-from fewer than 2 draws has no standard error and raises.  Exact
-Gaussian moments by Wick pairing enumeration provide the perturbative
-anchor.
+Each level is kept as a log, so F = N^-2 log Z needs no engine of its
+own: log Z is the principal log of z_direct's accepted level, moved by
+whole sheets 2 pi i onto the one topological_free_energy picks (the
+large-N expansion of F through T_p, which uses no quadrature of Z and
+so is also an oracle of F).  Monte Carlo estimates of Z remain as an
+independent oracle.  Both integrands depend on the spectrum alone, so
+each draw is the real tridiagonal matrix of the Dumitriu-Edelman model
+(matrixcore.sample_tridiagonal_batch), whose eigenvalues follow the
+ensemble's law from 2N - 1 real variates: the direct integrand takes
+Tr H^2p = Tr(T^p T^p) from p - 1 real matrix products, and only the
+change of variables diagonalizes T.  An estimate from fewer than 2
+draws has no standard error and raises.  Exact Gaussian moments by Wick
+pairing enumeration provide the perturbative anchor.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,10 +54,12 @@ import numpy as np
 
 from .action import action_S, map_derivatives
 from .errors import (
+    LogBranchAmbiguityError,
     OutOfRangeError,
     QuadratureUnderResolvedError,
     VarianceBlowupError,
 )
+from .fusscatalan import fc_eval_many
 from .matrixcore import EnsembleSpec, sample_tridiagonal_batch, spawn_streams
 from .scalarmaps import Coupling
 
@@ -82,9 +86,8 @@ PANELS_CAP = 512
 #: Gaussian panel levels kept by _gaussian_level, one per
 #: (N, beta, zeta, panel count, half-width)
 GAUSS_LEVEL_CACHE_SIZE = 128
-#: Gauss-Legendre schedule of the log Z integral over t in [0, 1]
-T_NODES_START = 2
-T_NODES_CAP = 256
+#: Gauss-Chebyshev nodes of the beta = 1 entropy term of the planar density
+ENTROPY_NODES = 200
 
 MC_MAX_REL_SE = 0.10
 MC_DEFAULT_SAMPLES = 20000
@@ -99,6 +102,7 @@ class PartitionEstimate:
     method: str  # "quadrature" | "monte_carlo"
     error: float
     n_points: int
+    log_value: complex  # principal log of value
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +322,7 @@ def _line_estimate(
     names the last level's Gaussian basis defect.
     """
     big_n = spec.N
-    levels, ahead = {}, {}
+    levels, ahead, logs = {}, {}, {}
 
     def eval_at(n_panels):
         level = levels[n_panels] = _line_level(spec, zeta, n_panels)
@@ -335,9 +339,11 @@ def _line_estimate(
         rows = _hermite_rows(x, big_n, level.gauss)
         num = _engine_matrix(spec, rows, site, level.weights, level.hw)
         (s_num, l_num), (s_den, l_den) = _log_norm(spec, num), level.log_norm
-        # an overflowing ratio becomes a non-finite level, which _doubling names
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(s_num / s_den * np.exp(l_num - l_den))
+        # a zero or overflowing ratio becomes a zero or non-finite level,
+        # which _doubling names
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logs[n_panels] = complex(np.log(s_num / s_den) + (l_num - l_den))
+            return complex(np.exp(logs[n_panels]))
 
     try:
         value, gap, n_panels = _doubling(
@@ -351,7 +357,8 @@ def _line_estimate(
             f"{exc}; Gaussian basis defect max|exp(i zeta) G - I| = "
             f"{levels[last].defect:.3e} at {last} panels (zeta={zeta:.6g})"
         ) from None
-    return PartitionEstimate(value, "quadrature", gap, GL_ORDER * n_panels)
+    return PartitionEstimate(value, "quadrature", gap, GL_ORDER * n_panels,
+                             logs[n_panels])
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,7 @@ def _mc_estimate(
             f"{MC_MAX_REL_SE:.0%} (lam={lam:.6g}, p={c.p}, N={spec.N}, "
             f"beta={spec.beta}, n_samples={n_samples})"
         )
-    return PartitionEstimate(mean, "monte_carlo", se, len(vals))
+    return PartitionEstimate(mean, "monte_carlo", se, len(vals), np.log(mean))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +412,6 @@ def z_direct(
 ) -> PartitionEstimate:
     """Z(lambda, N)/Z(0, N) from the interaction weight exp(-N lam Tr H^2p)."""
     lam = complex(c.lam)
-    if lam == 0:
-        return PartitionEstimate(1.0 + 0.0j, method, 0.0, 0)
     p = c.p
     big_n = spec.N
     if method == "monte_carlo":
@@ -438,8 +443,6 @@ def z_lvr(
 ) -> PartitionEstimate:
     """Z(lambda, N)/Z(0, N) as the Gaussian average of exp(S(lambda, K))."""
     lam = complex(c.lam)
-    if lam == 0:
-        return PartitionEstimate(1.0 + 0.0j, method, 0.0, 0)
     if method == "monte_carlo":
         def log_integrand(t):
             # real lambda: S is real on real spectra
@@ -456,56 +459,68 @@ def z_lvr(
     return _line_estimate(c, spec, 0.0, family, "z_lvr quadrature")
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _planar_factor(p: int, lam, a2) -> np.ndarray:
+    """(..., p) coefficients M_n of x^2n in the planar density's factor
+    M(x) = 2 + 2 p lam sum_(k<p) C(2k, k) (a^2/4)^k x^(2p-2-2k)."""
+    k = np.arange(p - 1, -1, -1)
+    central = np.array([math.comb(2 * j, j) for j in k], dtype=float)
+    m = 2 * p * np.asarray(lam)[..., None] * central * (np.asarray(a2)[..., None] / 4) ** k
+    m[..., 0] += 2
+    return m
+
+
+def topological_free_energy(c: Coupling, spec: EnsembleSpec) -> complex:
+    """F to its first correction in 1/N, from the planar density.
+
+    At beta = 2 this is F_0 + F_1/N^2.  The planar density is
+    M(x) sqrt(a^2 - x^2)/(2 pi) on [-a, a], a^2 = 2u, u = T_p(-c_p lam),
+    c_p = p C(2p, p)/2^p; its moments are
+    m_2j = sum_n M_n a^(2(n+j+1)) Cat(n+j)/4^(n+j+1).  F_0 = -integral of
+    m_2p d lam, taken in v = u(lam), lam = (1 - v)/(c_p v^p): one panel of
+    the engine's rule on [1, u].  F_1 = -log(a^2 M(a)/4)/12
+    (Ambjorn-Chekhov-Kristjansen-Makeenko, Nucl. Phys. B 404, 1993).  At
+    beta = 1 it is F_0/2 - (Sigma - Sigma(0))/(2N) at coupling 2^(1-p) lam,
+    with Sigma = integral of rho log rho (Borot-Guionnet, CMP 317, 2013) on
+    Gauss-Chebyshev nodes in x = a cos t.
+    """
+    p = c.p
+    cp = p * math.comb(2 * p, p) / 2**p
+    lam = complex(c.lam) * (1.0 if spec.beta == 2 else 2.0 ** (1 - p))
+    u = complex(fc_eval_many(c.params, -cp * lam)[0])
+    v = 1 + 0.5 * (u - 1) * (_GL_X + 1)
+    j = np.arange(p) + p
+    catalan = np.array([math.comb(2 * i, i) / (i + 1) for i in j]) / 4.0 ** (j + 1)
+    m_2p = np.sum(_planar_factor(p, (1 - v) / (cp * v**p), 2 * v)
+                  * (2 * v[:, None]) ** (j + 1) * catalan, axis=-1)
+    f0 = 0.5 * (u - 1) * np.sum(_GL_W * m_2p * (p - (p - 1) * v) / (cp * v ** (p + 1)))
+    big_m, powers = _planar_factor(p, lam, 2 * u), np.arange(p)
+    if spec.beta == 2:
+        return complex(f0 - np.log(u * np.sum(big_m * (2 * u) ** powers) / 2) / (12 * spec.N**2))
+    t = np.pi * np.arange(1, ENTROPY_NODES + 1) / (ENTROPY_NODES + 1)
+    m_x = np.sum(big_m * (2 * u * np.cos(t)[:, None] ** 2) ** powers, axis=-1)
+    log_rho = np.log(m_x) + 0.5 * np.log(2 * u) + np.log(np.sin(t) / (2 * np.pi))
+    sigma = u / (ENTROPY_NODES + 1) * np.sum(np.sin(t) ** 2 * m_x * log_rho)
+    # Sigma(0) = 1/2 - log(pi sqrt 2), the semicircle of radius sqrt 2
+    return complex(0.5 * f0 - (sigma - 0.5 + np.log(np.pi * np.sqrt(2))) / (2 * spec.N))
 
 
 def free_energy(c: Coupling, spec: EnsembleSpec) -> complex:
-    """F = N^(-2) log Z.
+    """F = N^(-2) (log Z + 2 pi i m).
 
-    On z_direct's line and at the panel level its doubling accepted,
-    log Z is the integral over t in [0, 1] of
-    tr(G(t)^-1 G'(t)) (beta = 2) or tr(A(t)^-1 A'(t)) / 2 (beta = 1),
-    the log-derivative of the Gram determinant or the Pfaffian at
-    coupling t lam, on Gauss-Legendre t-nodes that double until the sum
-    settles.  The log thus follows Z continuously from lam = 0.
+    log Z is the principal log of z_direct's accepted level, and m the
+    integer that brings it nearest to N^2 topological_free_energy.  A
+    residual N^2 |F - F_topo| above pi/2 leaves the sheet undecided.
     """
-    lam = complex(c.lam)
-    if lam == 0:
-        return 0.0j
-    big_n = spec.N
-    zeta = _tilt_angle(lam, c.p)
-    n_panels = z_direct(c, spec).n_points // GL_ORDER
-    mu, weights, hw, gauss, _, _ = _line_level(spec, zeta, n_panels)
-    rows = _hermite_rows(mu, big_n, gauss)
-    pot = big_n * lam * mu ** (2 * c.p)
-
-    def log_derivative(t):
-        site = np.exp(-t * pot)
-        if spec.beta == 2:
-            g = _engine_matrix(spec, rows, site, weights, hw)
-            dg = _engine_matrix(spec, rows, -pot * site, weights, hw)
-            return np.trace(np.linalg.solve(g, dg))
-        # the pair blocks of [phi; phi'] hold M in the top-left block and
-        # the cross term C, with M' = C - C^T, in the top-right block
-        phi = rows * site
-        m_vec, big_m = _moment_blocks(np.concatenate([phi, -pot * phi]), hw)
-        cross = big_m[:big_n, big_n:]
-        a = _bordered(big_m[:big_n, :big_n], m_vec[:big_n])
-        da = _bordered(cross - cross.T, m_vec[big_n:])
-        return 0.5 * np.trace(np.linalg.solve(a, da))
-
-    def eval_at(n_t):
-        t, w = _unit_rule(n_t)
-        return sum(wk * log_derivative(tk) for tk, wk in zip(t, w))
-
-    log_z, _, _ = _doubling(
-        eval_at, T_NODES_START, T_NODES_CAP, "free_energy log Z", c, spec
-    )
-    return complex(log_z / big_n**2)
+    n2 = spec.N**2
+    topo = n2 * topological_free_energy(c, spec)
+    log_z = z_direct(c, spec).log_value
+    log_z += 2j * np.pi * round((topo - log_z).imag / (2 * np.pi))
+    if abs(log_z - topo) > np.pi / 2:
+        raise LogBranchAmbiguityError(
+            f"free_energy: N^2 |F - F_topo| = {abs(log_z - topo):.3e} exceeds pi/2 "
+            f"for lam={complex(c.lam):.6g}, p={c.p}, N={spec.N}, beta={spec.beta}"
+        )
+    return complex(log_z / n2)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["jacobian-check", "--lambda-modulus", "nan"],
         ["jacobian-check", "--lambda-modulus", "inf"],
         ["lve-sum", "--n-max", "4"],
+        # a negative seed, which numpy's generators refuse
+        ["jacobian-check", "--seed", "-1", "--lambda-modulus", "1"],
+        ["verify-bounds", "--seed", "-1"],
+        ["lve-sum", "--seed", "-1", "--lambda-modulus", "0.05"],
     ):
         assert run_cli(argv, tmp_path, monkeypatch) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
@@ -265,6 +269,19 @@ def test_run_config_direct(tmp_path, monkeypatch):
     assert cfg.coupling().lam == pytest.approx(0.1)
     assert run(cfg) == 0
     assert (tmp_path / "free-energy.json").exists()
+
+
+def test_free_energy_json_records_the_topological_residual(tmp_path, monkeypatch):
+    # p = 5, N = 1, lambda = 0.1: the former ray integral of log Z stalled here
+    argv = ["free-energy", "--p", "5", "--N", "1", "--lambda-modulus", "0.1"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 0
+    doc = load_json(tmp_path, "free-energy")
+    res = doc["results"]
+    f = complex(res["free_energy"]["re"], res["free_energy"]["im"])
+    topo = complex(res["free_energy_topological"]["re"], res["free_energy_topological"]["im"])
+    assert res["topological_residual"] == pytest.approx(abs(f - topo), rel=1e-12)
+    assert 0 < res["topological_residual"] <= 0.25
+    assert "log_branch" in doc["convention_ledger"]
 
 
 def _old_maps_check(config):

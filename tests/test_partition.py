@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from loopvertex import action, partition
 from loopvertex.bounds import PACMAN_MODULI, pacman_args
+from loopvertex.fusscatalan import fc_eval_many
 from loopvertex.errors import (
+    LogBranchAmbiguityError,
     OutOfRangeError,
     QuadratureUnderResolvedError,
     VarianceBlowupError,
@@ -23,6 +26,7 @@ from loopvertex.matrixcore import (
 from loopvertex.partition import (
     free_energy,
     gaussian_moment_exact,
+    topological_free_energy,
     z_direct,
     z_lvr,
 )
@@ -534,6 +538,92 @@ def test_free_energy_continuous_along_the_coupling_ray(n):
         for t in np.linspace(0.05, 1.0, 20)
     ])
     assert np.max(np.abs(np.diff(f))) < np.pi / n**2
+
+
+def _z_on_tilted_line(lam, p):
+    """Z(lam, 1)/Z(0, 1) in mpmath, on the line z_direct integrates along."""
+    mpmath = pytest.importorskip("mpmath")
+    phi = partition._tilt_angle(lam, p)
+    rot = mpmath.exp(1j * phi)
+    lam = mpmath.mpc(lam.real, lam.imag)
+    val = mpmath.quad(lambda t: mpmath.exp(-(rot * t) ** 2 - lam * (rot * t) ** (2 * p)),
+                      [-mpmath.inf, 0, mpmath.inf])
+    return complex(rot * val / mpmath.sqrt(mpmath.pi))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("p, lam", [
+    (4, 0.5 * np.exp(2.5j)),
+    (4, 0.5 * np.exp(1j * (np.pi - 0.2))),
+    (5, 0.1),
+    (6, 0.01),
+])
+def test_free_energy_is_log_z_at_n1_up_to_p6(p, lam, beta):
+    # an integral of the log-derivative over the coupling ray stalled on
+    # each of these inputs, while z_direct converged
+    c, spec = Coupling(lam=lam, p=p), EnsembleSpec(N=1, beta=beta)
+    f = free_energy(c, spec)
+    sheets = (f - np.log(z_direct(c, spec).value)) / (2j * np.pi)
+    assert abs(sheets - round(sheets.real)) <= 1e-10
+    if beta == 2:
+        assert abs(f - np.log(_z_on_tilted_line(lam, p))) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 0.05 * np.exp(1.2j), 0.5 * np.exp(2.5j),
+                                 0.5 * np.exp(1j * (np.pi - 0.2))])
+def test_planar_term_meets_bipz_and_normalizes_the_density(lam):
+    # at N = 1e8 the genus-one term F_1/N^2 is below 1e-16
+    f0 = topological_free_energy(Coupling(lam=lam, p=2), EnsembleSpec(N=10**8))
+    assert abs(f0 - _planar_free_energy(lam)) <= 1e-13
+    # the planar edge solves u + c_p lam u^p = 1, the Fuss-Catalan equation
+    # at z = -c_p lam, which is the density's normalization m_0 = 1
+    for p in range(2, 7):
+        cp = p * math.comb(2 * p, p) / 2**p
+        u = complex(fc_eval_many(Coupling(lam=lam, p=p).params, -cp * lam)[0])
+        assert abs(u + cp * lam * u**p - 1) <= 1e-13, p
+        big_m = partition._planar_factor(p, lam, 2 * u)
+        m0 = 0.25 * sum(big_m[n] * (2 * u) ** (n + 1) * math.comb(2 * n, n) / (n + 1) / 4**n
+                        for n in range(p))
+        assert abs(m0 - 1) <= 1e-13, p
+
+
+@pytest.mark.parametrize("beta, bound", [(2, 0.05), (1, 0.25)])
+def test_free_energy_meets_topological_expansion_at_small_n(beta, bound):
+    worst = 0.0
+    for p in range(2, 7):
+        for n in range(1, 5):
+            spec = EnsembleSpec(N=n, beta=beta)
+            for mod in (0.05, 0.5):
+                for arg in (0.0, 1.2, 2.5, np.pi - 0.2):
+                    c = Coupling(lam=mod * np.exp(1j * arg), p=p)
+                    resid = n**2 * abs(free_energy(c, spec) - topological_free_energy(c, spec))
+                    worst = max(worst, resid)
+                    assert resid <= bound, (p, n, mod, arg)
+    assert worst > 0.1 * bound
+
+
+@pytest.mark.parametrize("p, lam", [(2, 0.05), (3, 0.05 * np.exp(1.2j))])
+def test_genus_one_remainder_is_order_n_minus_4(p, lam):
+    c = Coupling(lam=lam, p=p)
+    rem = {
+        n: n**4 * (free_energy(c, EnsembleSpec(N=n)) - topological_free_energy(c, EnsembleSpec(N=n)))
+        for n in (12, 24)
+    }
+    assert abs(rem[24] - rem[12]) <= 0.1 * abs(rem[12]), rem
+
+
+def test_sheet_certificate_refuses_a_shifted_topological_value(monkeypatch):
+    # moved by 0.75 of a sheet, the nearest sheet lies a quarter turn away,
+    # plus the true residual, which is real at a real coupling: beyond pi/2
+    c, spec = Coupling(lam=0.5, p=3), EnsembleSpec(N=2, beta=1)
+    free_energy(c, spec)
+    exact = topological_free_energy
+    monkeypatch.setattr(partition, "topological_free_energy",
+                        lambda c, s: exact(c, s) + 0.75 * 2j * np.pi / s.N**2)
+    with pytest.raises(LogBranchAmbiguityError) as exc:
+        free_energy(c, spec)
+    for field in ("lam=0.5+0j", "p=3", "N=2", "beta=1"):
+        assert field in str(exc.value), (field, str(exc.value))
 
 
 @pytest.mark.parametrize("n", [4, 5])
