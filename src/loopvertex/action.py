@@ -384,9 +384,3 @@ def jacobian_check(p: int, lam: float, eigs) -> dict:
     return {"overall_positive": overall if eigs.ndim > 1 else bool(overall),
             "positive": positive}
 
-
-def jacobian_pair_scan(p: int, lam: float, s_i, s_j) -> dict:
-    """jacobian_check on the 2 x 2 pair spectra (s_i, s_j), broadcast together."""
-    pairs = np.stack(np.broadcast_arrays(np.atleast_1d(s_i), np.atleast_1d(s_j)), axis=-1)
-    ok = jacobian_check(p, lam, pairs)["overall_positive"]
-    return {"positive": ok, "n_pairs": int(ok.size), "n_failures": int(np.sum(~ok))}

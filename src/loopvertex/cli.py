@@ -85,8 +85,8 @@ class RunConfig:
             raise ConfigError("epsilon must lie in (0, pi)")
         if self.lambda_modulus > 0 and abs(self.lambda_arg) > np.pi - self.epsilon:
             raise ConfigError("arg lambda outside the pacman sector")
-        if self.mc_samples < 1:
-            raise ConfigError("counts must be positive")
+        if self.mc_samples < 2:
+            raise ConfigError("mc_samples must be >= 2: a standard error needs two samples")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not 1 <= self.n_max <= MAX_AMPLITUDE_VERTICES:
@@ -231,8 +231,8 @@ def _cmd_lve_sum(config: RunConfig):
     c = config.coupling()
     spec = config.ensemble()
     params = {
-        "n_w": max(1, config.mc_samples // 100),
-        "n_mc": 100,
+        "n_w": config.mc_samples,
+        "n_mc": 1,
         "seed": config.seed,
     }
     value, err = lve_truncated_F(c, spec, config.n_max, params)

@@ -12,7 +12,7 @@ telescope exactly; see the convention ledger emitted by the CLI.
 
 Two samplers serve two needs.  sample_gaussian_batch draws the full
 unitary- or orthogonally-invariant matrix: the tree vertices need its
-eigenvectors and its correlated replicas w K1 + sqrt(1 - w^2) K'.
+eigenvectors and its correlated replicas K_i = sum_j L_ij g_j.
 sample_tridiagonal_batch draws a real symmetric tridiagonal matrix with
 the same eigenvalue law (Dumitriu and Edelman, "Matrix models for beta
 ensembles", J. Math. Phys. 43, 2002) from 2N - 1 real variates; the
@@ -244,7 +244,10 @@ def sample_replicas(
     """n correlated replicas with Cov((K_i)_ab, (K_j)_cd) = x_ij * (single cov).
 
     Batch-first: x is (..., n, n) and the result is (..., n, N, N), one
-    independent replica family per matrix of the stack.
+    independent replica family per matrix of the stack.  The draw is
+    replica-major: with m matrices in the stack, block j of one
+    sample_gaussian_batch of n m draws is g_j, and K_i = sum_j L_ij g_j
+    for the factor L of interpolation_factor.
     """
     x = np.asarray(x, dtype=float)
     n_rep = x.shape[-1]
@@ -252,11 +255,16 @@ def sample_replicas(
         raise ValueError("x must be square")
     if not np.allclose(np.diagonal(x, axis1=-2, axis2=-1), 1.0, atol=1e-12):
         raise ValueError("x must have unit diagonal")
-    ell = interpolation_factor(x)
+    ell = np.moveaxis(interpolation_factor(x), (-2, -1), (0, 1))[..., None, None]
     lead = x.shape[:-2]
-    n = spec.N
-    g = sample_gaussian_batch(spec, rng, int(np.prod(lead)) * n_rep)
-    return (ell @ g.reshape(lead + (n_rep, n * n))).reshape(lead + (n_rep, n, n))
+    g = sample_gaussian_batch(spec, rng, n_rep * int(np.prod(lead)))
+    # L is real: scaling the float view of g rounds as the complex product
+    # does, with half the multiplications and none of its additions
+    parts = np.ascontiguousarray(g).reshape((n_rep,) + lead + (spec.N, spec.N)).view(float)
+    k = np.stack([sum((ell[i, j] * parts[j] for j in range(1, n_rep)), ell[i, 0] * parts[0])
+                  for i in range(n_rep)])
+    # replica-major in memory too: each replica's stack is contiguous
+    return np.moveaxis(k.view(g.dtype), 0, -3)
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:

@@ -104,15 +104,6 @@ def eval_map(kind: str, c: Coupling, u) -> np.ndarray | complex:
     return complex(out[0]) if scalar else out
 
 
-def eval_e(c: Coupling, t: complex, u) -> np.ndarray | complex:
-    """E_p(-t u^(2p-2)), the log-derivative of T_p along the coupling path."""
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    z = -complex(t) * u ** (2 * c.p - 2)
-    out = fc_log_deriv_many(c.params, z)
-    return complex(out[0]) if scalar else out
-
-
 def g_integral_rep(c: Coupling, u: complex) -> complex:
     """g(u) as the quadrature of -(1/2) * u^(2p-1) * e_t(u) f_t(u) dt.
 

@@ -12,15 +12,15 @@ and rho2 = K(x, x) K(y, y) - K(x, y)^2 of the Christoffel-Darboux
 (Hermite) kernel K reduce E[S] to a 1-D and a 2-D sum on the panel
 nodes of the partition-function engine (Mehta, Random Matrices, ch. 6).
 
-Amplitudes of trees with n >= 2 are Monte Carlo averages drawn as
-arrays: every sample has its own weakening vector, bkar_x_matrix turns
-the batch of vectors into a stack of interpolation matrices,
-sample_replicas draws one replica family per matrix, and one eigh (with
-its hermiticity guard; a closed form at N = 2, LAPACK above) serves the
-whole replica stack.  A degree-1
-vertex carries the action gradient G(K); the middle vertex of a 3-path
-carries the exact directional Hessian D G(K)[X] (action.action_hessian),
-so n <= 3 needs no finite differences.
+Amplitudes of trees with n >= 2 are Monte Carlo averages from one
+sampler, drawn as arrays: every sample has its own weakening vector,
+bkar_x_matrix turns the batch of vectors into a stack of interpolation
+matrices, sample_replicas draws one replica family per matrix, and one
+eigh per vertex (with its hermiticity guard; a closed form at N = 2,
+LAPACK above) gives the spectra.  A degree-1 vertex carries the action
+gradient G(K); the middle vertex of a 3-path carries the exact
+directional Hessian D G(K)[X] (action.action_hessian), so n <= 3 needs
+no finite differences.
 
 Amplitude normalization under the exp(-N Tr H^2) weight: each edge
 contraction carries the covariance scale 1/(2N), and the overall free
@@ -44,9 +44,7 @@ from .action import (
 from .errors import BudgetExceededError, OutOfRangeError
 from .matrixcore import (
     EnsembleSpec,
-    SpectralData,
     eigh,
-    sample_gaussian_batch,
     sample_replicas,
     spawn_streams,
 )
@@ -61,7 +59,6 @@ from .scalarmaps import Coupling
 
 MAX_TREE_ORDER = 7
 MAX_AMPLITUDE_VERTICES = 3
-MAX_VERTEX_DEGREE = 2
 #: panel schedule of the single-vertex densities (16 nodes per panel):
 #: the start doubles each time N quadruples, from 4 panels at N <= 3
 SV_PANELS_START = 4
@@ -205,17 +202,6 @@ def bkar_x_matrix(t: LabeledTree, w: WeakeningVector) -> np.ndarray:
 # amplitudes
 
 
-def _check_budget(spec: EnsembleSpec, t: LabeledTree):
-    if t.n > MAX_AMPLITUDE_VERTICES:
-        raise BudgetExceededError(f"amplitudes support n <= {MAX_AMPLITUDE_VERTICES}")
-    if t.n >= 2 and max(t.degrees().values()) > MAX_VERTEX_DEGREE:
-        raise BudgetExceededError(
-            f"vertex degree above {MAX_VERTEX_DEGREE} needs third derivatives"
-        )
-    if spec.beta != 2:
-        raise BudgetExceededError("tree amplitudes are implemented for beta = 2")
-
-
 def _hermite_kernel(mu: np.ndarray, w: np.ndarray, big_n: int) -> np.ndarray:
     """(m, m) Christoffel-Darboux kernel K = Phi^T Phi on the rule's nodes.
 
@@ -307,7 +293,10 @@ def tree_amplitude(
     """
     if t.n == 1:
         return single_vertex_amplitude(c, spec)
-    _check_budget(spec, t)
+    if t.n > MAX_AMPLITUDE_VERTICES:
+        raise BudgetExceededError(f"amplitudes support n <= {MAX_AMPLITUDE_VERTICES}")
+    if spec.beta != 2:
+        raise BudgetExceededError("tree amplitudes are implemented for beta = 2")
     params = dict(params or {})
     n_w = int(params.get("n_w", 64))
     n_mc = int(params.get("n_mc", 64))
@@ -322,16 +311,10 @@ def tree_amplitude(
         )
     rng = spawn_streams(seed, 1)[0]
     chunk = max(1, min(_BATCH_CHUNK, _CHUNK_ELEMENTS // (t.n * spec.N**2)))
-    if t.n == 2:
-        pref = 1.0 / (spec.N**2 * 2 * spec.N)
-        mean, stderr = _sample_mean(
-            lambda m: _two_vertex_values(c, spec, rng, m), n_w * n_mc, chunk
-        )
-    else:
-        pref = 1.0 / (spec.N**2 * (2 * spec.N) ** 2)
-        mean, stderr = _sample_mean(
-            lambda m: _three_vertex_values(c, spec, t, rng, m), n_w * n_mc, chunk
-        )
+    pref = 1.0 / (spec.N**2 * (2 * spec.N) ** (t.n - 1))
+    mean, stderr = _sample_mean(
+        lambda m: _path_values(c, spec, t, rng, m), n_w * n_mc, chunk
+    )
     return AmplitudeEstimate(pref * mean, pref * stderr, n_w, n_mc, t)
 
 
@@ -362,31 +345,22 @@ def _sample_mean(draw, count: int, chunk: int) -> tuple[complex, float]:
     return complex(mean), float(np.sqrt(var / count))
 
 
-def _two_vertex_values(c, spec, rng, m) -> np.ndarray:
-    """m samples of Tr(G(K1) G(K2)), K2 = w K1 + sqrt(1 - w^2) K'."""
-    w = rng.uniform(size=m)[:, None, None]
-    g = sample_gaussian_batch(spec, rng, 2 * m)
-    g1, g2 = g[:m], g[m:]
-    k2 = w * g1 + np.sqrt(1.0 - w * w) * g2
-    grad1 = action_gradient(c, spec, eigh(g1))
-    grad2 = action_gradient(c, spec, eigh(k2))
-    return np.einsum("bij,bji->b", grad1, grad2)
+def _path_values(c, spec, t, rng, m) -> np.ndarray:
+    """m samples of the path amplitude's trace, one weakening vector each.
 
-
-def _three_vertex_values(c, spec, t, rng, m) -> np.ndarray:
-    """m samples of Tr(G(K_a) D G(K_mid)[G(K_b)]) on the 3-path a - mid - b."""
-    degrees = t.degrees()
-    mid = next(v for v, d in degrees.items() if d == 2) - 1
-    outer = [v - 1 for v in degrees if v - 1 != mid]
-    w = rng.uniform(size=(len(t.edges), m))
+    Tr(G(K_a) G(K_b)) on the 2-path a - b and Tr(G(K_a) D G(K_mid)[G(K_b)])
+    on the 3-path a - mid - b, with the replicas' covariance x from the
+    forest rule.
+    """
+    w = rng.uniform(size=(t.n - 1, m))
     x = bkar_x_matrix(t, WeakeningVector(dict(zip(t.edges, w))))
-    s = eigh(sample_replicas(spec, x, rng))  # (m, 3, N) spectra
-    grads = action_gradient(
-        c, spec, SpectralData(s.eigenvalues[:, outer], s.eigenvectors[:, outer])
-    )
-    s_mid = SpectralData(s.eigenvalues[:, mid], s.eigenvectors[:, mid])
-    dg = action_hessian(c, spec, s_mid, grads[:, 1])
-    return np.einsum("bij,bji->b", grads[:, 0], dg)
+    k = sample_replicas(spec, x, rng)  # (m, n, N, N)
+    degrees = t.degrees().items()
+    a, b = (action_gradient(c, spec, eigh(k[:, v - 1])) for v, d in degrees if d == 1)
+    for v, d in degrees:
+        if d == 2:  # the middle vertex of a 3-path
+            b = action_hessian(c, spec, eigh(k[:, v - 1]), b)
+    return np.einsum("bij,bji->b", a, b)
 
 
 def lve_truncated_F(

@@ -13,7 +13,7 @@ import pytest
 from loopvertex.action import (
     action_S,
     action_gradient,
-    jacobian_pair_scan,
+    jacobian_check,
     sigma_contour,
     sigma_direct,
 )
@@ -171,9 +171,9 @@ def test_criterion_05_pair_factor_positivity():
             lam = float(10.0 ** rng.uniform(-3, 1))
             s_i = 3.0 * rng.standard_normal(1000)
             s_j = 3.0 * rng.standard_normal(1000)
-            scan = jacobian_pair_scan(p, lam, s_i, s_j)
-            assert bool(np.all(scan["positive"])), (p, lam)
-            total += scan["n_pairs"]
+            ok = jacobian_check(p, lam, np.stack([s_i, s_j], axis=-1))["overall_positive"]
+            assert bool(np.all(ok)), (p, lam)
+            total += ok.size
     assert total == 100000
 
 

@@ -114,6 +114,8 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["jacobian-check", "--lambda-modulus", "nan"],
         ["jacobian-check", "--lambda-modulus", "inf"],
         ["lve-sum", "--n-max", "4"],
+        # one sample gives no standard error
+        ["lve-sum", "--mc-samples", "1", "--lambda-modulus", "0.05"],
         # a negative seed, which numpy's generators refuse
         ["jacobian-check", "--seed", "-1", "--lambda-modulus", "1"],
         ["verify-bounds", "--seed", "-1"],
@@ -152,6 +154,19 @@ def test_seed_reproducibility_byte_identical(tmp_path, monkeypatch):
     assert run_seed(9) == first
     # the seed reaches the sampler
     assert run_seed(10) != first
+
+
+def test_lve_sum_draws_every_requested_sample(tmp_path, monkeypatch):
+    def run_samples(count):
+        argv = ["lve-sum", "--N", "2", "--lambda-modulus", "0.0125",
+                "--mc-samples", str(count), "--seed", "9"]
+        assert run_cli(argv, tmp_path, monkeypatch) == 0
+        with open(os.path.join(str(tmp_path), "lve-sum.json")) as fh:
+            return json.load(fh)["results"]
+
+    hundred, one_fifty = run_samples(100), run_samples(150)
+    assert one_fifty["lve_truncated_F"] != hundred["lve_truncated_F"]
+    assert one_fifty["error"] != hundred["error"]
 
 
 def test_z_identity_quadrature_and_mc(tmp_path, monkeypatch):

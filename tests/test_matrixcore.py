@@ -331,6 +331,25 @@ def test_sample_replicas_batch_shape_and_stream():
     assert np.array_equal(batch_of_one[0], one)
 
 
+def test_sample_replicas_draws_replica_major():
+    spec = EnsembleSpec(N=3, beta=2)
+    m = 5
+    w = np.random.default_rng(4).uniform(size=m)
+    x = np.ones((m, 2, 2))
+    x[:, 0, 1] = x[:, 1, 0] = w
+    k = sample_replicas(spec, x, np.random.default_rng(8))
+    g = sample_gaussian_batch(spec, np.random.default_rng(8), 2 * m)
+    w = w[:, None, None]
+    assert np.array_equal(k[:, 0], g[:m])
+    assert np.array_equal(k[:, 1], w * g[:m] + np.sqrt(1.0 - w * w) * g[m:])
+    # three replicas: block j of the draw is g_j, and K = L @ blocks
+    x3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [0.2, 0.2, 1.0]])
+    k3 = sample_replicas(spec, np.stack([x3] * m), np.random.default_rng(8))
+    blocks = sample_gaussian_batch(spec, np.random.default_rng(8), 3 * m).reshape(3, m, 3, 3)
+    want = np.einsum("ij,jbkl->bikl", interpolation_factor(x3), blocks)
+    assert np.max(np.abs(k3 - want)) <= 1e-15
+
+
 def test_replica_correlations():
     spec = EnsembleSpec(N=2, beta=2)
     x = np.array([[1.0, 0.6], [0.6, 1.0]])

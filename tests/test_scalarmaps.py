@@ -3,7 +3,6 @@ import pytest
 
 from loopvertex.scalarmaps import (
     Coupling,
-    eval_e,
     eval_map,
     g_integral_rep,
     inverse_residual,
@@ -100,16 +99,6 @@ def test_inverse_pair_identity_grid():
 def test_inverse_pair_complex_coupling_point():
     c = Coupling(lam=0.05 * np.exp(2j), p=3)
     assert inverse_residual(c, 0.3 - 0.2j) <= 1e-10
-
-
-def test_eval_e_values():
-    assert eval_e(Coupling(lam=0.1, p=2), 0.0, 3.0) == pytest.approx(1.0)
-    assert eval_e(Coupling(lam=0.1, p=2), 0.05, 0.0) == pytest.approx(1.0)
-    # E_2(-0.1) from the closed form (1 - sqrt(1.4)) / (-0.2) etc.
-    got = eval_e(Coupling(lam=0.1, p=2), 0.1, 1.0)
-    t = (1.0 - np.sqrt(1.4)) / (-0.2)
-    assert got == pytest.approx(t / (1.0 + 0.2 * t), rel=1e-10)
-    assert got.real == pytest.approx(0.7742, abs=5e-4)
 
 
 def test_g_integral_representation():

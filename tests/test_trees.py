@@ -321,12 +321,13 @@ def test_three_vertex_seed_reproducibility():
 
 
 def test_three_vertex_value_pinned_at_fixed_seed():
-    # one sampling stream per call, drawn as arrays; this is the value it gives
+    # one sampling stream per call, replicas drawn replica-major; this is
+    # the value it gives
     t = LabeledTree(3, ((1, 2), (2, 3)))
     est = tree_amplitude(Coupling(lam=0.05, p=2), EnsembleSpec(N=2, beta=2), t,
                          {"n_w": 50, "n_mc": 40, "seed": 13})
-    assert est.value.real == pytest.approx(-2.7971564058895962e-05, rel=1e-12)
-    assert est.stderr == pytest.approx(1.3671158840645992e-06, rel=1e-9)
+    assert est.value.real == pytest.approx(-3.099690948188302e-05, rel=1e-12)
+    assert est.stderr == pytest.approx(1.3586440920840302e-06, rel=1e-9)
 
 
 def test_single_vertex_settles_at_n128():
