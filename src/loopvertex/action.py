@@ -64,30 +64,29 @@ class ResolventEntries:
 
 
 def map_derivatives(c: Coupling, u) -> dict[str, np.ndarray]:
-    """h, h', h'' and friends at u (array), via implicit differentiation.
+    """h and h' at u (array), via implicit differentiation.
 
-    Returned keys: t, logt, f, h, hp, hpp.  All derivatives are exact
-    consequences of the functional equation z T^p - T + 1 = 0.
+    Returned keys: t = T_p(z), f = sqrt(t), h and hp = h', plus the
+    intermediates that _h_second reads: z = -lam u^(2p-2), z_over_u,
+    d = 1 - p z t^(p-1) and e = t^(p-1)/d.  All derivatives are exact
+    consequences of the functional equation z T^p - T + 1 = 0.  The
+    dtype follows the inputs' types: a float lam with real points gives
+    float64 (T_p is real and positive on z <= 0), a complex lam or
+    complex points complex128, even where the imaginary part is 0.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    cplx = np.iscomplexobj(c.lam) or np.iscomplexobj(u)
+    u = np.atleast_1d(np.asarray(u, dtype=complex if cplx else float))
     p = c.p
-    lam = complex(c.lam)
+    lam = complex(c.lam) if cplx else float(c.lam)
     z = -lam * u ** (2 * p - 2)
     z_over_u = -lam * u ** (2 * p - 3)  # z/u, finite at u = 0
     t = fc_eval_many(c.params, z)
     d = 1.0 - p * z * t ** (p - 1)
-    tp = t**p / d
     e = t ** (p - 1) / d
-    dp = -p * (t ** (p - 1) + z * (p - 1) * t ** (p - 2) * tp)
-    tpp = (p * t ** (p - 1) * tp * d - t**p * dp) / d**2
-    ep = tpp / t - e**2
-
     f = np.sqrt(t)
-    fp = f * (p - 1) * e * z_over_u
     hp = f * (1.0 + (p - 1) * z * e)
-    zp = (2 * p - 2) * z_over_u
-    hpp = fp * (1.0 + (p - 1) * z * e) + f * (p - 1) * zp * (e + z * ep)
-    return {"t": t, "logt": np.log(t), "f": f, "h": u * f, "hp": hp, "hpp": hpp}
+    return {"t": t, "f": f, "h": u * f, "hp": hp,
+            "z": z, "z_over_u": z_over_u, "d": d, "e": e}
 
 
 def _gap_quotient(x: np.ndarray, num: np.ndarray, dnum: np.ndarray) -> np.ndarray:
@@ -187,7 +186,7 @@ def action_split(c: Coupling, s_k) -> tuple:
     """
     kappa = _eigenvalues(s_k)
     md = map_derivatives(c, kappa)  # the identity maps at lam = 0, so S1 = S2 = 0
-    s1 = 0.5 * kappa.shape[-1] * np.sum(md["logt"], axis=-1)
+    s1 = 0.5 * kappa.shape[-1] * np.sum(np.log(md["t"]), axis=-1)
     s2 = _action_sums(kappa, md, 2)[0] - s1
     return (complex(s1), complex(s2)) if kappa.ndim == 1 else (s1, s2)
 
@@ -274,7 +273,7 @@ def action_gradient_eigenvalues(c: Coupling, spec: EnsembleSpec, s_k) -> np.ndar
     """
     kappa = _eigenvalues(s_k)
     md = map_derivatives(c, kappa)
-    hp, hpp = md["hp"], md["hpp"]
+    hp, hpp = md["hp"], _h_second(c, md)
     res = _resolvent_values(kappa, md)
     # d/d kappa_i of log[(h_i - h_j)/(kappa_i - kappa_j)], limit h''/2h'
     off = _gap_quotient(kappa, res * hp[..., :, None] - 1.0, 0.5 * hpp / hp)
@@ -295,17 +294,38 @@ def action_gradient(c: Coupling, spec: EnsembleSpec, s_k: SpectralData) -> np.nd
     return np.einsum("...ik,...k,...jk->...ij", v, g, v.conj())
 
 
-def _h_third(c: Coupling, md: dict) -> np.ndarray:
+def _h_second(c: Coupling, md: dict) -> np.ndarray:
+    """Second derivative h'' at the points of md = map_derivatives(c, u).
+
+    The implicit derivatives T_p' and T_p'' of z T^p - T + 1 = 0 from
+    the intermediates map_derivatives keeps.  Only the gradient and the
+    Hessian read h''; map_derivatives, which every node of the
+    quadratures, the Monte Carlo action and the bound suites calls, does
+    not pay for it.
+    """
+    p = c.p
+    t, z, d, e, f = md["t"], md["z"], md["d"], md["e"], md["f"]
+    tp = t**p / d
+    dp = -p * (t ** (p - 1) + z * (p - 1) * t ** (p - 2) * tp)
+    tpp = (p * t ** (p - 1) * tp * d - t**p * dp) / d**2
+    ep = tpp / t - e**2
+    fp = f * (p - 1) * e * md["z_over_u"]
+    zp = (2 * p - 2) * md["z_over_u"]
+    return fp * (1.0 + (p - 1) * z * e) + f * (p - 1) * zp * (e + z * ep)
+
+
+def _h_third(c: Coupling, md: dict, hpp: np.ndarray) -> np.ndarray:
     """Third derivative h''' at the points of md = map_derivatives(c, u).
 
     One more implicit differentiation of z T^p - T + 1 = 0, taken in the
     form k(h(u)) = u with k(v) = v s(v), s(v)^2 = 1 + lam v^(2p-2) and
-    s(h) = 1/f on the branch of h:  h''' = 3 h''^2/h' - k'''(h) h'^4.
-    Only action_hessian needs it; map_derivatives, which every node of
-    the quadratures and bound suites calls, does not pay for it.
+    s(h) = 1/f on the branch of h:  h''' = 3 h''^2/h' - k'''(h) h'^4,
+    with hpp = _h_second(c, md).  Only action_hessian needs it.  Its
+    dtype is md's, by map_derivatives' rule.
     """
-    lam, m = complex(c.lam), 2 * c.p - 2
     v, hp = md["h"], md["hp"]
+    lam = complex(c.lam) if np.iscomplexobj(v) else float(c.lam)
+    m = 2 * c.p - 2
     s = 1.0 / md["f"]
     # derivatives of w = s^2 = 1 + lam v^m, then of s from 2 s s' = w' etc.
     w1 = lam * m * v ** (m - 1)
@@ -314,7 +334,7 @@ def _h_third(c: Coupling, md: dict) -> np.ndarray:
     s1 = w1 / (2.0 * s)
     s2 = (w2 - 2.0 * s1**2) / (2.0 * s)
     s3 = (w3 - 6.0 * s1 * s2) / (2.0 * s)
-    return 3.0 * md["hpp"] ** 2 / hp - (3.0 * s2 + v * s3) * hp**4
+    return 3.0 * hpp**2 / hp - (3.0 * s2 + v * s3) * hp**4
 
 
 def action_hessian(
@@ -342,8 +362,8 @@ def action_hessian(
     v_adj = np.swapaxes(v.conj(), -1, -2)
     xt = v_adj @ x @ v
     md = map_derivatives(c, kappa)
-    hp, hpp = md["hp"], md["hpp"]
-    h3 = _h_third(c, md)
+    hp, hpp = md["hp"], _h_second(c, md)
+    h3 = _h_third(c, md, hpp)
     beta = spec.beta
     diag = np.arange(kappa.shape[-1])
     res = _resolvent_values(kappa, md)

@@ -169,6 +169,12 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
     continuation), a Newton polish and the branch certificate; points
     that fail it are recomputed by the dense continuation.
 
+    The dtype follows z: complex z gives complex128, real z float64.
+    T_p is real on the real axis off the cut.  A real call whose points
+    all lie in the inner disk sums the series in real arithmetic; any
+    other real call is computed on the complex points and returns their
+    real parts, the same bits, since the series coefficients are real.
+
     Raises
     ------
     OutOfRangeError
@@ -178,7 +184,9 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
     NonConvergenceError
         if a point fails the branch certificate after dense continuation.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(np.asarray(z))
+    real = not np.iscomplexobj(z)
+    z = z.astype(float if real else complex, copy=False)
     shape, z = z.shape, z.ravel()
     p = params.p
     bp = params.branch_point
@@ -199,6 +207,7 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
             f"p={p}: z={complex(z[i])} lies {dist[i]:.3e} from the cut "
             f"[{bp:.6g}, inf), closer than CUT_TOL={CUT_TOL:g}"
         )
+    z = z.astype(complex, copy=False)
     out = np.empty_like(z)
     if inner.any():
         out[inner] = _power_series(z[inner], coeffs)
@@ -225,7 +234,7 @@ def fc_eval_many(params: FussCatalanParams, z) -> np.ndarray:
                 f"after dense continuation (residual {_residual(p, zf, t)[i]:.3e})"
             )
         out[failed] = t
-    return out.reshape(shape)
+    return (out.real if real else out).reshape(shape)
 
 
 def _power_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -173,13 +173,20 @@ def covariances(spec: EnsembleSpec) -> tuple[float, float]:
 def sample_gaussian_batch(
     spec: EnsembleSpec, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """size x N x N stack of independent ensemble draws."""
+    """size x N x N stack of independent ensemble draws.
+
+    At beta = 2 the draw is (G + G^H) / sqrt(2N), G = (A + iB) / 2 with
+    A, B standard normal.  Its parts are built in real arithmetic, each
+    step rounded as the complex operations would round it.
+    """
     n = spec.N
     if spec.beta == 2:
         a = rng.standard_normal((size, n, n))
         b = rng.standard_normal((size, n, n))
-        g = (a + 1j * b) / 2.0  # entry variance 1/2 per complex component pair
-        h = (g + np.conj(np.swapaxes(g, -1, -2))) / np.sqrt(2 * n)
+        scale = 1.0 / np.sqrt(2 * n)
+        h = np.empty((size, n, n), dtype=complex)
+        h.real = (0.5 * a + 0.5 * np.swapaxes(a, -1, -2)) * scale
+        h.imag = (0.5 * b - 0.5 * np.swapaxes(b, -1, -2)) * scale
     else:
         a = rng.standard_normal((size, n, n))
         h = (a + np.swapaxes(a, -1, -2)) / np.sqrt(8 * n)
@@ -253,7 +260,7 @@ def sample_replicas(
     n_rep = x.shape[-1]
     if x.ndim < 2 or x.shape[-2] != n_rep:
         raise ValueError("x must be square")
-    if not np.allclose(np.diagonal(x, axis1=-2, axis2=-1), 1.0, atol=1e-12):
+    if not np.allclose(np.diagonal(x, axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("x must have unit diagonal")
     ell = np.moveaxis(interpolation_factor(x), (-2, -1), (0, 1))[..., None, None]
     lead = x.shape[:-2]

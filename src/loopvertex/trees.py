@@ -236,7 +236,7 @@ def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
         log_d = _log_ratio_pairs(mu, md["h"], md["hp"])
         pairs[n_panels] = (
             complex(rho1 @ np.log(md["hp"]) + spec.beta * (rho2 @ log_d)),
-            complex(0.5 * big_n * (rho1 @ md["logt"])),
+            complex(0.5 * big_n * (rho1 @ np.log(md["t"]))),
         )
         return pairs[n_panels][0]
 

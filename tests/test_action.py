@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from loopvertex.action import (
     COINCIDENCE_TOL,
+    _h_second,
     _h_third,
     _log_ratio_pairs,
     action_S,
@@ -117,9 +118,9 @@ def test_action_split_consistency():
     # scalar case: S1 = (1/2) log T
     s1_scalar, s2_scalar = action_split(c, eigh(np.array([[0.6]])))
     md = map_derivatives(c, np.array([0.6 + 0j]))
-    assert s1_scalar == pytest.approx(0.5 * md["logt"][0], rel=1e-12)
+    assert s1_scalar == pytest.approx(0.5 * np.log(md["t"][0]), rel=1e-12)
     assert s2_scalar == pytest.approx(
-        np.log(md["hp"][0]) - 0.5 * md["logt"][0], rel=1e-10
+        np.log(md["hp"][0]) - 0.5 * np.log(md["t"][0]), rel=1e-10
     )
 
 
@@ -202,7 +203,7 @@ def test_gradient_zero_coupling_and_scalar():
     s1 = eigh(np.array([[0.4]]))
     md = map_derivatives(c, np.array([0.4 + 0j]))
     g = action_gradient(c, EnsembleSpec(N=1, beta=2), s1)
-    assert g[0, 0] == pytest.approx(md["hpp"][0] / md["hp"][0], rel=1e-10)
+    assert g[0, 0] == pytest.approx(_h_second(c, md)[0] / md["hp"][0], rel=1e-10)
 
 
 def test_jacobian_check_positive():
@@ -408,7 +409,7 @@ def test_zero_coupling_general_path_property(p, beta, size, n, u, seed):
     assert np.all(inverse_residual(c, u) == 0.0)
     assert all(g_integral_rep(c, ui) == 0.0 for ui in u)
     md = map_derivatives(c, u)
-    assert np.all(md["h"] == u) and np.all(md["hp"] == 1.0) and np.all(md["hpp"] == 0.0)
+    assert np.all(md["h"] == u) and np.all(md["hp"] == 1.0) and np.all(_h_second(c, md) == 0.0)
 
     rng = np.random.default_rng(seed)
     spec = EnsembleSpec(N=n, beta=beta)
@@ -436,7 +437,8 @@ def test_h_third_matches_mpmath_closed_form():
     u = np.array([0.3, -0.8, 1.2, 0.05 + 0.1j])
     for lam in (0.1, 0.07 * np.exp(1.1j), 0.15 * np.exp(-2.5j)):
         c = Coupling(lam=lam, p=2)
-        got = _h_third(c, map_derivatives(c, u))
+        md = map_derivatives(c, u)
+        got = _h_third(c, md, _h_second(c, md))
         with mpmath.workdps(40):
             for ui, gi in zip(u, got):
                 lam_mp = mpmath.mpc(lam)
@@ -486,3 +488,44 @@ def test_batch_first_equals_row_by_row(batch_keyholes, beta, size, n, which, see
             np.testing.assert_allclose(
                 batch[name][k], value, rtol=1e-13, atol=1e-15, err_msg=name
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    lam=st.floats(0.0, 0.5),
+    start=st.floats(-3.0, 0.0),
+    gaps=st.lists(st.floats(0.1, 1.0), max_size=3),
+    beta=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_coupling_path_matches_complex_path(p, lam, start, gaps, beta, seed):
+    # a float lam on real spectra runs in float64; the same lam as a
+    # complex number takes the complex128 path and must agree with it.
+    # The gradient and Hessian errors grow like eps / gap^2, hence gap >= 0.1.
+    kappa = start + np.cumsum([0.0] + gaps)
+    n = len(kappa)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    s = SpectralData(kappa, q)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    spec = EnsembleSpec(N=n, beta=beta)
+    cf, cc = Coupling(lam=lam, p=p), Coupling(lam=complex(lam), p=p)
+    mf, mc = map_derivatives(cf, kappa), map_derivatives(cc, kappa)
+    second = _h_second(cf, mf)
+    assert all(v.dtype == np.float64 for v in mf.values()) and second.dtype == np.float64
+    for got, want in ((mf["h"], mc["h"]), (mf["hp"], mc["hp"]), (second, _h_second(cc, mc))):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    sf = action_S(cf, spec, kappa[None]).total
+    assert sf.dtype == np.float64
+    assert np.max(np.abs(sf - action_S(cc, spec, kappa[None]).total)) <= 1e-12
+    gf = action_gradient_eigenvalues(cf, spec, s)
+    gc = action_gradient_eigenvalues(cc, spec, s)
+    assert gf.dtype == np.float64 and gc.dtype == np.complex128
+    assert np.max(np.abs(gf - gc) / (1.0 + np.abs(gc))) <= 2e-12
+    hf, hc = action_hessian(cf, spec, s, x), action_hessian(cc, spec, s, x)
+    assert np.max(np.abs(hf - hc) / (1.0 + np.abs(hc))) <= 5e-11
+    # the rule is by type: 0.1 + 0j stays complex
+    c0 = Coupling(lam=0.1 + 0j, p=p)
+    assert map_derivatives(c0, kappa)["h"].dtype == np.complex128
+    assert action_gradient_eigenvalues(c0, spec, s).dtype == np.complex128

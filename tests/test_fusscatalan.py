@@ -369,3 +369,30 @@ def test_fc_eval_many_pinned(p):
     assert min(zones) > 500, zones
     t = fc_eval_many(params, z)
     assert hashlib.sha1(t.tobytes()).hexdigest() == FC_EVAL_SHA1[p]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_real_points_give_float64_equal_to_the_complex_real_part(p):
+    params = FussCatalanParams(p)
+    bp = params.branch_point
+    mag = bp * np.geomspace(1e-4, 1e4, 4000)
+    z = np.concatenate([-mag, [0.0], mag[mag <= 0.99 * bp]])
+    radius = np.abs(z) / bp
+    assert min((radius <= 0.5).sum(), ((radius > 0.5) & (radius < 3)).sum(),
+               (radius >= 3).sum()) > 500
+    inner = z[radius <= 0.5]
+    for pts in (z, inner):  # a mixed call and an all-inner-disk call
+        t = fc_eval_many(params, pts)
+        assert t.dtype == np.float64 and t.shape == pts.shape
+        assert t.tobytes() == fc_eval_many(params, pts + 0j).real.tobytes()
+    if p == 2:
+        t = fc_eval_many(params, z)
+        closed = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * z))
+        assert np.max(np.abs(t - closed) / closed) <= 1e-14
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_real_points_on_the_cut_raise(factor):
+    params = FussCatalanParams(3)
+    with pytest.raises(CutProximityError):
+        fc_eval_many(params, np.array([-0.01, factor * params.branch_point]))

@@ -170,6 +170,20 @@ def test_entry_covariances_match_declared(beta):
     assert got_sq == pytest.approx(twist, abs=1.5e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_beta2_draw_equals_complex_expression_bitwise(n):
+    # the real-arithmetic draw against the complex expression it rounds as
+    spec = EnsembleSpec(N=n, beta=2)
+    h = sample_gaussian_batch(spec, np.random.default_rng(40 + n), 3000)
+    rng = np.random.default_rng(40 + n)
+    a = rng.standard_normal((3000, n, n))
+    b = rng.standard_normal((3000, n, n))
+    g = (a + 1j * b) / 2.0
+    want = (g + np.conj(np.swapaxes(g, -1, -2))) / np.sqrt(2 * n)
+    assert h.dtype == want.dtype and h.flags.c_contiguous
+    assert h.tobytes() == want.tobytes()
+
+
 def test_first_moment_trace_square():
     # E[Tr H^2] = N^2 * straight + N * twist by one Wick contraction
     for beta in (1, 2):
@@ -329,6 +343,15 @@ def test_sample_replicas_batch_shape_and_stream():
     batch_of_one = sample_replicas(spec, x[:1], np.random.default_rng(2))
     one = sample_replicas(spec, x[0], np.random.default_rng(2))
     assert np.array_equal(batch_of_one[0], one)
+
+
+def test_sample_replicas_rejects_diagonal_off_by_more_than_atol():
+    spec = EnsembleSpec(N=2, beta=2)
+    for off in (9e-6, 1e-11):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            sample_replicas(spec, [[1.0 + off, 0.5], [0.5, 1.0]], np.random.default_rng(0))
+    k = sample_replicas(spec, [[1.0 + 1e-13, 0.5], [0.5, 1.0]], np.random.default_rng(0))
+    assert k.shape == (2, 2, 2)
 
 
 def test_sample_replicas_draws_replica_major():
