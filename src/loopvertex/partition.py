@@ -24,8 +24,10 @@ built once at import, so a panel integral is one matrix product.  The
 Gaussian side of a panel level (nodes, weights and the Gaussian's own
 determinant or Pfaffian) does not depend on lam and is built once per
 layout; the first doubling step evaluates the numerator's scalar map on
-both of its levels in one call.  The single-vertex amplitude (trees.py)
-uses the same panels and Hermite recurrence.
+both of its levels in one call.  The panels are mirror-symmetric and
+both integrands have a parity, so the map is evaluated on the right half
+of the nodes only.  The single-vertex amplitude (trees.py) uses the same
+panels and Hermite recurrence.
 
 Each level is kept as a log, so F = N^-2 log Z needs no engine of its
 own: log Z is the principal log of z_direct's accepted level, moved by
@@ -162,10 +164,12 @@ def _half_width(big_n: int, zeta: float) -> float:
 
 
 def _panel_layout(half: float, n_panels: int):
-    """Nodes, weights (both (P, GL_ORDER)) and half-width of P equal panels."""
-    edges = np.linspace(-half, half, n_panels + 1)
+    """Nodes, weights (both (P, GL_ORDER)) and half-width of P equal panels,
+    P even; the left half is the exact negation of the right half."""
+    edges = np.linspace(0.0, half, n_panels // 2 + 1)
     hw = 0.5 * (edges[1] - edges[0])
-    nodes = (edges[:-1, None] + hw) + hw * _GL_X
+    right = (edges[:-1, None] + hw) + hw * _GL_X
+    nodes = np.concatenate([-right[::-1, ::-1], right])
     return nodes, np.broadcast_to(hw * _GL_W, nodes.shape), hw
 
 
@@ -315,27 +319,30 @@ def _line_estimate(
 
     family(mu) returns (x, site): the point where the numerator's
     polynomials are evaluated and its site weight; the denominator is the
-    Gaussian itself (x = mu, site 1), read from _gaussian_level.  All
-    contour phases are common factors of numerator and denominator and
-    cancel in the ratio.  _doubling always evaluates the first two
-    levels, so one family call covers both.  A stall at beta = 2 also
-    names the last level's Gaussian basis defect.
+    Gaussian itself (x = mu, site 1), read from _gaussian_level.  The
+    panels are mirror-symmetric and both families have a parity (x odd,
+    site even), so family sees the right half of the nodes and the left
+    half is mirrored.  All contour phases are common factors of numerator
+    and denominator and cancel in the ratio.  _doubling always evaluates
+    the first two levels, so one family call covers both.  A stall at
+    beta = 2 also names the last level's Gaussian basis defect.
     """
     big_n = spec.N
     levels, ahead, logs = {}, {}, {}
 
     def eval_at(n_panels):
         level = levels[n_panels] = _line_level(spec, zeta, n_panels)
+        k = len(level.mu) // 2
         if n_panels in ahead:
             x, site = ahead.pop(n_panels)
         elif n_panels == PANELS_START < PANELS_CAP:
             mu_next = _line_level(spec, zeta, 2 * n_panels).mu
-            x, site = family(np.concatenate([level.mu, mu_next]))
-            k = len(level.mu)
+            x, site = family(np.concatenate([level.mu[k:], mu_next[2 * k:]]))
             ahead[2 * n_panels] = x[k:], site[k:]
             x, site = x[:k], site[:k]
         else:
-            x, site = family(level.mu)
+            x, site = family(level.mu[k:])
+        x, site = np.concatenate([-x[::-1], x]), np.concatenate([site[::-1], site])
         rows = _hermite_rows(x, big_n, level.gauss)
         num = _engine_matrix(spec, rows, site, level.weights, level.hw)
         (s_num, l_num), (s_den, l_den) = _log_norm(spec, num), level.log_norm

@@ -247,6 +247,51 @@ def test_principal_branch_property(p, log_modulus, log_angle, side):
     assert_principal(p, z, t)
 
 
+@settings(max_examples=200)
+@given(
+    p=st.integers(2, 6),
+    log_ratio=st.floats(np.log10(0.5), 5.0),
+    log_angle=st.floats(-9.0, np.log10(np.pi)),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_seeded_newton_certifies_without_the_dense_fallback(p, log_ratio, log_angle, side):
+    # every point off the inner disk, |z| from bp/2 to 1e5 bp, is seeded by
+    # a series and certified after SEED_NEWTON steps; only points next to
+    # the branch point may need the dense continuation
+    params = FussCatalanParams(p)
+    bp = params.branch_point
+    z = bp * 10.0**log_ratio * np.exp(1j * side * 10.0**log_angle)
+    assume(abs(z - bp) >= 1e-2 * bp)
+    assume(cut_distance_to_positive_ray(params, z) >= 1e-6)
+    calls = []
+    continue_ = fusscatalan._continue
+
+    def counted(params, z, steps):
+        calls.append(steps)
+        return continue_(params, z, steps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusscatalan, "_continue", counted)
+        t = fc_eval_many(params, z)[0]
+    assert fusscatalan.DENSE_STEPS not in calls, (p, z)
+    ref = reference(p, z)
+    assert abs(t - ref) <= 1e-12 * abs(ref), (p, z, t, ref)
+
+
+def test_near_branch_point_matches_catalan_closed_form():
+    # p = 2: T = 2 / (1 + sqrt(1 - 4z)) at |z - bp| from 1e-7 bp to bp, at
+    # every argument but the cut's own
+    params = FussCatalanParams(2)
+    bp = params.branch_point
+    dist = bp * np.geomspace(1e-7, 1.0, 57)
+    angle = np.pi * ((np.arange(64) + 0.5) / 32 - 1.0)
+    z = (bp + dist[:, None] * np.exp(1j * angle)).ravel()
+    z = z[cut_distance_to_positive_ray(params, z) >= fusscatalan.CUT_TOL]
+    t = fc_eval_many(params, z)
+    closed = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * z))
+    assert np.max(np.abs(t - closed) / np.abs(closed)) <= 1e-9
+
+
 @pytest.mark.parametrize("p", range(2, 7))
 def test_outer_coeffs_equal_rounded_fractions(p, monkeypatch):
     # int / int true division rounds correctly, as float(Fraction) does
@@ -264,7 +309,7 @@ def test_dense_fallback_repairs_uncertified_seeds(monkeypatch):
     # seed w, whose residual is |w|/2, so every outer point must be
     # repaired by the dense continuation
     monkeypatch.setattr(fusscatalan, "OUTER_TERMS", 1)
-    monkeypatch.setattr(fusscatalan, "OUTER_NEWTON", 0)
+    monkeypatch.setattr(fusscatalan, "SEED_NEWTON", 0)
     calls = []
     continue_ = fusscatalan._continue
 
@@ -298,7 +343,9 @@ def test_non_finite_point_raises_out_of_range(bad):
 
 
 def test_non_convergence_error_names_p_point_and_residual(monkeypatch):
-    # a continuation with no Newton steps cannot reach the root
+    # an unpolished seed fails the certificate, and a continuation with no
+    # Newton steps cannot reach the root
+    monkeypatch.setattr(fusscatalan, "SEED_NEWTON", 0)
     monkeypatch.setattr(fusscatalan, "STEP_NEWTON", 0)
     monkeypatch.setattr(fusscatalan, "END_NEWTON", 0)
     with pytest.raises(NonConvergenceError,
@@ -339,11 +386,11 @@ def test_shape_kept_across_zones():
 
 #: sha1 of fc_eval_many's output bytes on _pin_grid(p), one call per p
 FC_EVAL_SHA1 = {
-    2: "656749899cfc1f173e833ed2cc5a4efbce5f54bd",
-    3: "b884ac81c538e42fa0ec78f27009f7ae95394fc0",
-    4: "b9f0274906e36dcd1734874b15e7526f11f15ab8",
-    5: "7dd7f679f893e95fbe18beee322ba0ac5d5076ac",
-    6: "c34561def3c9ae627664145813387eee6ee8ecad",
+    2: "3d09636faebf37bda6ff83889febbf4cebd1fcfc",
+    3: "087c768966fc80519bdd3848dbbb757921be4b85",
+    4: "2bdaba55d75c7fb0f0864ba3ffdc84b6e6c47cab",
+    5: "6db09feeafea0ff92c4316e68b9fbb6bb0af0385",
+    6: "f81f3c0938d4818d6ee671ea21e12cc8c70fa93a",
 }
 
 
@@ -369,6 +416,16 @@ def test_fc_eval_many_pinned(p):
     assert min(zones) > 500, zones
     t = fc_eval_many(params, z)
     assert hashlib.sha1(t.tobytes()).hexdigest() == FC_EVAL_SHA1[p]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_batched_call_equals_point_by_point_calls_bitwise(p):
+    # a point's value does not depend on the size of its call, in any zone
+    params = FussCatalanParams(p)
+    z = _pin_grid(p)
+    t = fc_eval_many(params, z)
+    one = np.array([fc_eval_many(params, z[i : i + 1])[0] for i in range(z.size)])
+    assert t.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("p", range(2, 7))

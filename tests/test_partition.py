@@ -281,13 +281,52 @@ def test_first_two_levels_share_one_map_call(monkeypatch):
     c = Coupling(lam=0.1 * np.exp(0.75j * np.pi), p=2)
     est = z_lvr(c, EnsembleSpec(N=3, beta=2))
     assert est.n_points == partition.GL_ORDER * 32
-    assert calls == [partition.GL_ORDER * (16 + 32)]
+    assert calls == [partition.GL_ORDER * (16 + 32) // 2]
     # a level beyond the second is one call of its own
     calls.clear()
     monkeypatch.setattr(partition, "QUAD_REL_TOL", 1e-300)
     with pytest.raises(QuadratureUnderResolvedError):
         z_lvr(c, EnsembleSpec(N=3, beta=2))
-    assert calls == [partition.GL_ORDER * m for m in (16 + 32, 64, 128, 256, 512)]
+    assert calls == [partition.GL_ORDER * m // 2 for m in (16 + 32, 64, 128, 256, 512)]
+
+
+@pytest.mark.parametrize("n_panels", [4, 8, 16, 32, 64, 128, 256, 512])
+def test_panel_layout_is_mirror_symmetric(n_panels):
+    # every panel count of the Z engine (16..512) and of the single
+    # vertex (4 * 2^k up to 128)
+    for n in (1, 2, 5, 24):
+        half = partition._half_width(n, 0.0)
+        nodes, weights, hw = partition._panel_layout(half, n_panels)
+        assert nodes.shape == weights.shape == (n_panels, partition.GL_ORDER)
+        flat = nodes.ravel()
+        assert np.array_equal(flat, -flat[::-1])
+        assert np.array_equal(weights.ravel(), weights.ravel()[::-1])
+        assert np.all(np.diff(flat) > 0)
+        assert hw * n_panels == pytest.approx(half, rel=1e-15)
+
+
+def test_family_sees_the_right_half_of_each_level(monkeypatch):
+    spec, zeta = EnsembleSpec(N=3, beta=2), 0.3
+    c = Coupling(lam=0.1 * np.exp(2.0j), p=2)
+    seen = []
+
+    def family(mu):
+        seen.append(mu.copy())
+        return mu, np.exp(-spec.N * c.lam * mu**4)
+
+    monkeypatch.setattr(partition, "QUAD_REL_TOL", 1e-300)
+    with pytest.raises(QuadratureUnderResolvedError):
+        partition._line_estimate(c, spec, zeta, family, "mirror spy")
+    right = []
+    for m in (16, 32, 64, 128, 256, 512):
+        mu = partition._line_level(spec, zeta, m).mu
+        k = len(mu) // 2
+        assert np.array_equal(mu[:k], -mu[k:][::-1])
+        right.append(mu[k:])
+    expected = [np.concatenate(right[:2])] + right[2:]
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got, want)
 
 
 def test_gaussian_level_cached_read_only(monkeypatch):
