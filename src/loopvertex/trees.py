@@ -212,14 +212,27 @@ def _hermite_kernel(mu: np.ndarray, w: np.ndarray, big_n: int) -> np.ndarray:
     return phi.T @ phi
 
 
+def _mirrored_maps(c: Coupling, mu: np.ndarray):
+    """(h, h', t) at mu, whose left half is the exact negation of its right half.
+
+    map_derivatives sees the right half only; h is odd, h' and t are even.
+    """
+    md = map_derivatives(c, mu[len(mu) // 2:])
+    return (np.concatenate([-md["h"][::-1], md["h"]]),
+            np.concatenate([md["hp"][::-1], md["hp"]]),
+            np.concatenate([md["t"][::-1], md["t"]]))
+
+
 def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
     """(E[S], E[S1]) over the Gaussian ensemble from its correlation functions.
 
     On the engine's panels over the bulk (exact on the kernel's
     polynomials once resolved) the GUE densities are rho1_a = K_aa and
     rho2_ab = K_aa K_bb - K_ab^2, so E[S] = sum_a rho1_a log h'(mu_a) +
-    beta sum_{a<b} rho2_ab log D_ab.  Each level is evaluated once; the
-    accepted level's pair is kept.
+    beta sum_{a<b} rho2_ab log D_ab.  The panels are mirror-symmetric, so
+    the maps are evaluated on the right half of the nodes and mirrored (h
+    odd, h' and t even); a float lambda keeps them real.  Each level is
+    evaluated once; the accepted level's pair is kept.
     """
     big_n = spec.N
     half = _half_width(big_n, 0.0)
@@ -232,11 +245,11 @@ def _quadrature_mean_action(c: Coupling, spec: EnsembleSpec):
         rho1 = np.diag(kern)
         a, b = np.triu_indices(len(mu), k=1)
         rho2 = rho1[a] * rho1[b] - kern[a, b] ** 2
-        md = map_derivatives(c, mu.astype(complex))
-        log_d = _log_ratio_pairs(mu, md["h"], md["hp"])
+        h, hp, t = _mirrored_maps(c, mu)
+        log_d = _log_ratio_pairs(mu, h, hp)
         pairs[n_panels] = (
-            complex(rho1 @ np.log(md["hp"]) + spec.beta * (rho2 @ log_d)),
-            complex(0.5 * big_n * (rho1 @ np.log(md["t"]))),
+            complex(rho1 @ np.log(hp) + spec.beta * (rho2 @ log_d)),
+            complex(0.5 * big_n * (rho1 @ np.log(t))),
         )
         return pairs[n_panels][0]
 

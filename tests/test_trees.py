@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loopvertex.errors import BudgetExceededError, OutOfRangeError
-from loopvertex.action import action_S
+from loopvertex.action import action_S, map_derivatives
 from loopvertex.matrixcore import EnsembleSpec, sample_gaussian_batch
 from loopvertex.partition import free_energy, gaussian_moment_exact
 from loopvertex import matrixcore, trees
@@ -166,6 +166,45 @@ def test_single_vertex_grid_levels_visited_once(monkeypatch):
     ]
     for v, (re, im) in zip((a.value, a.a1, a.a2), pinned):
         assert v == pytest.approx(complex(float.fromhex(re), float.fromhex(im)), rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [
+    Coupling(lam=0.05, p=2),
+    Coupling(lam=0.1 * np.exp(2.5j), p=2),
+    Coupling(lam=0.1 * np.exp(-1.2j), p=3),
+    Coupling(lam=1e-4 * np.exp(0.3j), p=6),
+    Coupling(lam=1e-4, p=4),
+    Coupling(lam=0.05, p=6),
+])
+@pytest.mark.parametrize("n_panels", [4, 8, 64])
+def test_mirrored_maps_match_full_map_derivatives(c, n_panels):
+    # the left half of the layout is the exact negation of the right half;
+    # complex maps are exactly odd (h) and even (h', t) there, so mirroring
+    # loses no bit.  numpy's real u ** (2p - 2) is not exactly even in u for
+    # 2p - 2 > 2 (a few ulp on some nodes), so a float lambda at p >= 3 is
+    # held to 1e-14 (measured at most 2e-15 for p = 2..6)
+    nodes, _, _ = trees._panel_layout(trees._half_width(3, 0.0), n_panels)
+    mu = nodes.ravel()
+    md = map_derivatives(c, mu)
+    for got, key in zip(trees._mirrored_maps(c, mu), ("h", "hp", "t")):
+        assert got.dtype == md[key].dtype
+        if np.iscomplexobj(got) or c.p == 2:
+            assert got.tobytes() == md[key].tobytes(), key
+        else:
+            np.testing.assert_allclose(got, md[key], rtol=1e-14, atol=0, err_msg=key)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_float_coupling_single_vertex_matches_complex_path(p):
+    # a float lambda keeps the maps and the pair logs real
+    spec = EnsembleSpec(N=3, beta=2)
+    for lam in (1e-4, 1e-2, 0.1):
+        real = single_vertex_amplitude(Coupling(lam=lam, p=p), spec)
+        cplx = single_vertex_amplitude(Coupling(lam=complex(lam), p=p), spec)
+        assert real.n_mc_samples == cplx.n_mc_samples
+        for a, b in ((real.value, cplx.value), (real.a1, cplx.a1), (real.a2, cplx.a2)):
+            assert a.imag == 0.0
+            assert a == pytest.approx(b, rel=1e-12)
 
 
 @pytest.mark.parametrize(
